@@ -377,3 +377,64 @@ func BenchmarkStoreResultHit(b *testing.B) {
 		}
 	}
 }
+
+// discardTasks is a TaskStore that never hits and drops what it is given:
+// attached to a plan it makes Execute encode every task for the store, as a
+// server-side plan does, without a warm store short-circuiting the work.
+type discardTasks struct{}
+
+func (discardTasks) GetTask(int) ([]byte, bool) { return nil, false }
+func (discardTasks) PutTask(int, []byte)        {}
+
+// resultSetEncodeQueries are the ResultSetEncode answers: a 270-point grid
+// (54 losses × 5 payloads) and a 700-loss pathloss-sweep over the
+// closed-form contention baseline — sweep answers of ~100 KB and ~250 KB.
+func resultSetEncodeQueries() []query.Query {
+	approx := &query.ContentionWire{Source: "approx"}
+	from, to, gridTo := query.Float(50), query.Float(100), query.Float(95)
+	return []query.Query{
+		{
+			Kind:     query.KindGrid,
+			Params:   &query.ParamsWire{Contention: approx},
+			Losses:   &query.Axis{From: &from, To: &gridTo, Points: intp(54)},
+			Payloads: &query.IntAxis{Values: []int{20, 40, 60, 90, 120}},
+		},
+		{
+			Kind:   query.KindPathLossSweep,
+			Params: &query.ParamsWire{Contention: approx},
+			Losses: &query.Axis{From: &from, To: &to, Points: intp(700)},
+		},
+	}
+}
+
+// BenchmarkResultSetEncode mirrors the wsn-bench suite's ResultSetEncode
+// workload: the execute-and-encode half of a /v2/query answer the way
+// handleQuery runs it with a store attached — Execute with a TaskStore
+// (every task encoded for the store) followed by ResultSet.Encode — for a
+// 270-point grid and a 700-loss pathloss-sweep. The closed-form model is
+// ~2 ms of it; the rest is encoding.
+func BenchmarkResultSetEncode(b *testing.B) {
+	b.ReportAllocs()
+	var plans []*query.Plan
+	for _, q := range resultSetEncodeQueries() {
+		plan, err := query.Compile(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan.Store = discardTasks{}
+		plans = append(plans, plan)
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, plan := range plans {
+			rs, err := plan.Execute(ctx, 1, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := rs.Encode(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -11,9 +11,9 @@
 // Usage:
 //
 //	wsn-bench                          # full suite to stdout
-//	wsn-bench -out BENCH_PR6.json      # refresh the tracked baseline
+//	wsn-bench -out BENCH_PR12.json     # refresh the tracked baseline
 //	wsn-bench -benchtime 100ms -quick  # CI smoke pass
-//	wsn-bench -diff BENCH_PR6.json     # compare this run to the baseline
+//	wsn-bench -diff BENCH_PR12.json    # compare this run to the baseline
 //
 // -diff is warn-only for wall-clock by design: it prints per-benchmark
 // ratios and flags ns/op slowdowns beyond -warn (default 1.5x), but ns/op
@@ -287,6 +287,63 @@ func suite(quick bool) []namedBench {
 				}
 			}
 		}},
+		{"ResultSetEncode", func(b *testing.B) {
+			// Execute with a TaskStore attached plus ResultSet.Encode — the
+			// execute-and-encode half of a /v2/query sweep answer (a
+			// 270-point grid and a 700-loss pathloss-sweep).
+			b.ReportAllocs()
+			var plans []*query.Plan
+			for _, q := range resultSetEncodeQueries() {
+				plan, err := query.Compile(q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				plan.Store = discardTasks{}
+				plans = append(plans, plan)
+			}
+			ctx := context.Background()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, plan := range plans {
+					rs, err := plan.Execute(ctx, 1, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := rs.Encode(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}},
+	}
+}
+
+// discardTasks is a TaskStore that never hits and drops what it is given,
+// so Execute encodes every task for the store as a server-side plan does.
+type discardTasks struct{}
+
+func (discardTasks) GetTask(int) ([]byte, bool) { return nil, false }
+func (discardTasks) PutTask(int, []byte)        {}
+
+// resultSetEncodeQueries are the ResultSetEncode answers: a 270-point grid
+// (54 losses × 5 payloads) and a 700-loss pathloss-sweep over the
+// closed-form contention baseline.
+func resultSetEncodeQueries() []query.Query {
+	approx := &query.ContentionWire{Source: "approx"}
+	from, to, gridTo := query.Float(50), query.Float(100), query.Float(95)
+	points := func(n int) *int { return &n }
+	return []query.Query{
+		{
+			Kind:     query.KindGrid,
+			Params:   &query.ParamsWire{Contention: approx},
+			Losses:   &query.Axis{From: &from, To: &gridTo, Points: points(54)},
+			Payloads: &query.IntAxis{Values: []int{20, 40, 60, 90, 120}},
+		},
+		{
+			Kind:   query.KindPathLossSweep,
+			Params: &query.ParamsWire{Contention: approx},
+			Losses: &query.Axis{From: &from, To: &to, Points: points(700)},
+		},
 	}
 }
 

@@ -106,24 +106,23 @@ func run(file string, workers int, stream, planOnly, trace bool) error {
 	defer stop()
 
 	out := os.Stdout
-	enc := json.NewEncoder(out)
-	enc.SetEscapeHTML(false)
-
 	var yield func(query.TaskResult) error
 	if stream {
-		yield = func(tr query.TaskResult) error { return enc.Encode(tr) }
+		yield = func(tr query.TaskResult) error {
+			line, err := query.EncodeTaskResult(tr)
+			if err == nil {
+				_, err = out.Write(line)
+			}
+			return err
+		}
 	}
 	rs, err := p.Execute(ctx, q.Workers, yield)
 	if err != nil {
 		return err
 	}
 	if stream {
-		return enc.Encode(struct {
-			Done    bool                      `json:"done"`
-			Count   int                       `json:"count"`
-			Summary *query.ReplicaSummaryWire `json:"summary,omitempty"`
-			Trace   *query.PlanTraceWire      `json:"trace,omitempty"`
-		}{Done: true, Count: len(rs.Results), Summary: rs.Summary, Trace: rs.Trace})
+		_, err = out.Write(query.AppendStreamDone(nil, len(rs.Results), rs))
+		return err
 	}
 	body, err := rs.Encode()
 	if err != nil {

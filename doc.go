@@ -50,6 +50,20 @@
 // A new scenario axis is a new Query field — not a new function, endpoint,
 // codec and flag set.
 //
+// Byte-stable encoding has one implementation: hand-written append
+// encoders in internal/query write every result type (TaskResult,
+// ResultSet, each wire payload, the stream done line) as exactly the bytes
+// encoding/json would — compact, HTML escaping off, struct field order,
+// omitempty, nil slices as null — without reflection, and every float goes
+// through wire.AppendFloat. Each task is encoded once per request: a
+// server-side plan (one with a task store attached) encodes a task in the
+// worker that computed it, and those bytes are the stored entry, the
+// /v2/query/stream line and the element spliced into the ResultSet body.
+// The one exception is the scenario and experiment payloads, which embed
+// foreign report types and still go through encoding/json with HTML
+// escaping off. Tests pin every encoder to an encoding/json reference on
+// all twelve kinds and under fuzzing.
+//
 // # Classic facade functions (maintained, frozen)
 //
 // The per-computation facades — Evaluate, EvaluateBatch, RunCaseStudy,
@@ -402,8 +416,8 @@
 // hot-path micro-benchmarks) and writes a JSON report of ns/op, B/op and
 // allocs/op per benchmark:
 //
-//	go run ./cmd/wsn-bench -out BENCH_PR6.json   # refresh the baseline
-//	go run ./cmd/wsn-bench -diff BENCH_PR6.json  # compare a fresh run
+//	go run ./cmd/wsn-bench -out BENCH_PR12.json   # refresh the baseline
+//	go run ./cmd/wsn-bench -diff BENCH_PR12.json  # compare a fresh run
 //
 // The committed BENCH_*.json files form the repository's performance
 // trajectory; CI regenerates a -quick report per push and diffs it against

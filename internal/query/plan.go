@@ -1,9 +1,7 @@
 package query
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -41,6 +39,10 @@ type TaskResult struct {
 	// value is the in-process model result the facade wrappers unwrap;
 	// it does not travel on the wire.
 	value any
+	// encoded is the canonical NDJSON line (trailing newline included) a
+	// store-attached plan encoded in the worker goroutine that produced
+	// the result; ResultSet.Encode splices it and the stream writes it.
+	encoded []byte
 }
 
 // Value returns the in-process result behind the wire payload: core.Metrics
@@ -129,19 +131,26 @@ type ResultSet struct {
 func (rs *ResultSet) Value() any { return rs.value }
 
 // Encode renders the byte-stable JSON form: compact, HTML escaping off,
-// trailing newline. Struct field order is fixed, floats travel as
-// internal/wire.Float and no maps are involved, so the same ResultSet
-// always encodes to the same bytes — the property that makes the HTTP v2
-// body, the streamed NDJSON lines and an in-process Run comparable with
-// bytes.Equal.
+// trailing newline — exactly what encoding/json produces for the struct,
+// written by the append encoders in encode.go. Field order is fixed, floats
+// travel as internal/wire.Float and no maps are involved, so the same
+// ResultSet always encodes to the same bytes — the property that makes the
+// HTTP v2 body, the streamed NDJSON lines and an in-process Run comparable
+// with bytes.Equal. Tasks a store-attached plan already encoded are spliced
+// in, not encoded again.
 func (rs *ResultSet) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(rs); err != nil {
-		return nil, err
+	n := 256
+	for i := range rs.Results {
+		if e := rs.Results[i].encoded; e != nil {
+			n += len(e)
+		} else {
+			n += sizeHint(&rs.Results[i])
+		}
 	}
-	return buf.Bytes(), nil
+	if rs.Trace != nil {
+		n += 96 * len(rs.Trace.Spans)
+	}
+	return appendResultSet(make([]byte, 0, n), rs)
 }
 
 // task is one schedulable unit of a compiled plan.
@@ -304,9 +313,7 @@ func (p *Plan) Execute(ctx context.Context, workers int, yield func(TaskResult) 
 		}
 		r.Index = i
 		r.Label = ex.tasks[i].label
-		if !hit {
-			p.storeTask(r)
-		}
+		p.encodeTask(&r, hit)
 		results[i] = r
 		return nil
 	}
@@ -426,9 +433,7 @@ func (p *Plan) ExecuteRange(ctx context.Context, workers, from, to int, yield fu
 			walls[i] = time.Since(start).Seconds() * 1e3
 			r.Index = idx
 			r.Label = ex.tasks[idx].label
-			if !hit {
-				p.storeTask(r)
-			}
+			p.encodeTask(&r, hit)
 			results[i] = r
 			select {
 			case done <- i:

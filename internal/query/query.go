@@ -142,14 +142,21 @@ func (a *Axis) Grid(field string, def func() []float64) ([]float64, *Error) {
 		if !(step > 0) || math.IsInf(step, 0) {
 			return nil, errf(field+".step", "%g not a positive finite step", step)
 		}
+		// The quotient check rejects huge spans before the walk; the walk
+		// itself bounds the point count (from, to and every step between:
+		// one more than the intervals), so the cap holds exactly.
+		tooMany := errf(field+".step", "step %g yields more than %d points", step, MaxGridPoints)
 		if (to-from)/step > MaxGridPoints {
-			return nil, errf(field+".step", "step %g yields more than %d points", step, MaxGridPoints)
+			return nil, tooMany
 		}
 		var out []float64
 		for i := 0; ; i++ {
 			x := from + float64(i)*step
 			if x > to {
 				break
+			}
+			if len(out) == MaxGridPoints {
+				return nil, tooMany
 			}
 			out = append(out, x)
 		}

@@ -57,6 +57,48 @@ func TestAxisRangeStep(t *testing.T) {
 	}
 }
 
+// TestAxisStepPointCap pins MaxGridPoints as a bound on points, not
+// intervals, at the exact boundary for both axis types: a step walk of
+// MaxGridPoints points is accepted and one more point is rejected.
+func TestAxisStepPointCap(t *testing.T) {
+	step := Float(1)
+	for _, tc := range []struct {
+		to   Float
+		want int // 0 ⇒ rejected
+	}{
+		{MaxGridPoints - 1, MaxGridPoints},
+		{MaxGridPoints - 0.5, MaxGridPoints},
+		{MaxGridPoints, 0},
+	} {
+		from, to := Float(0), tc.to
+		got, aerr := (&Axis{From: &from, To: &to, Step: &step}).Grid("x", nil)
+		if tc.want == 0 {
+			if aerr == nil {
+				t.Errorf("float axis 0..%g step 1 accepted %d points", float64(to), len(got))
+			}
+			continue
+		}
+		if aerr != nil || len(got) != tc.want {
+			t.Errorf("float axis 0..%g step 1: %d points, %v; want %d", float64(to), len(got), aerr, tc.want)
+		}
+	}
+	for _, tc := range []struct{ to, want int }{
+		{MaxGridPoints - 1, MaxGridPoints},
+		{MaxGridPoints, 0},
+	} {
+		got, aerr := (&IntAxis{From: intPtr(0), To: intPtr(tc.to)}).Grid("x", nil)
+		if tc.want == 0 {
+			if aerr == nil {
+				t.Errorf("int axis 0..%d accepted %d points", tc.to, len(got))
+			}
+			continue
+		}
+		if aerr != nil || len(got) != tc.want {
+			t.Errorf("int axis 0..%d: %d points, %v; want %d", tc.to, len(got), aerr, tc.want)
+		}
+	}
+}
+
 func TestAxisRejectsNonFinite(t *testing.T) {
 	inf := Float(1)
 	for _, a := range []*Axis{

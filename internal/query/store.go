@@ -83,15 +83,10 @@ func (k Kind) WireExact() bool {
 // EncodeTaskResult renders one TaskResult in the canonical byte form stored
 // by a TaskStore: the same compact, HTML-escaping-off encoding (with
 // trailing newline) the streaming surfaces emit, so stored bytes are
-// directly comparable to stream lines.
+// directly comparable to stream lines. A result from a store-attached plan
+// returns the bytes its worker already encoded.
 func EncodeTaskResult(tr TaskResult) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(tr); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return tr.encodeLine()
 }
 
 // DecodeTaskResult parses canonical TaskResult bytes back. The decoded
@@ -130,14 +125,24 @@ func (p *Plan) taskFromStore(index int) (TaskResult, bool) {
 	return tr, true
 }
 
-// storeTask stores a freshly computed task result (Index and Label already
-// stamped). Encoding failures just skip the store: caching is an
+// encodeTask encodes a finished task once, in the worker goroutine that
+// produced it, when the plan has a store attached (the server paths, which
+// always answer with bytes): the line is kept on the result for
+// ResultSet.Encode and the stream, and a computed (not hit) result of a
+// WireExact kind is stored. A stored result is re-encoded rather than
+// trusted, so a served byte is always the encoder's. Encoding failures just
+// leave the result unencoded: Encode then reports them, and caching is an
 // optimization, never a correctness dependency.
-func (p *Plan) storeTask(tr TaskResult) {
-	if !p.storeEnabled() {
+func (p *Plan) encodeTask(tr *TaskResult, hit bool) {
+	if p.Store == nil {
 		return
 	}
-	if b, err := EncodeTaskResult(tr); err == nil {
+	b, err := tr.encodeLine()
+	if err != nil {
+		return
+	}
+	tr.encoded = b
+	if !hit && p.storeEnabled() {
 		p.Store.PutTask(tr.Index, b)
 	}
 }

@@ -134,44 +134,37 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body)
 }
 
-// queryStreamLine is the final NDJSON record of a /v2/query/stream
-// response: done=true, the task count, the replicas (or lifetime) summary
-// when the plan has one, and the execution trace when the query opted in. The preceding
-// lines are raw query.TaskResult encodings — exactly the elements of the
-// non-streaming ResultSet.Results, byte for byte.
-type queryStreamLine struct {
-	Done            bool                       `json:"done"`
-	Count           int                        `json:"count"`
-	Summary         *query.ReplicaSummaryWire  `json:"summary,omitempty"`
-	LifetimeSummary *query.LifetimeSummaryWire `json:"lifetime_summary,omitempty"`
-	Trace           *query.PlanTraceWire       `json:"trace,omitempty"`
-}
-
 // writeStreamFromResult replays a stored ResultSet body as the NDJSON stream
 // a fresh execution would produce: one line per task in plan order, then the
-// done line. The per-line bytes are identical to a fresh stream because the
-// stored elements re-encode exactly (the caller gates on Kind.WireExact).
-// Returns false — without having written anything — when the stored bytes do
-// not decode, so the caller falls through to a fresh computation.
+// done line (query.AppendStreamDone). A ResultSet's elements are exactly the
+// task lines without their newline, so the stored element bytes are written
+// as they are. Returns false — without having written anything — when the
+// stored bytes do not decode, so the caller falls through to a fresh
+// computation.
 func (s *Server) writeStreamFromResult(w http.ResponseWriter, body []byte) bool {
-	var rs query.ResultSet
-	if err := json.Unmarshal(body, &rs); err != nil {
+	var stored struct {
+		Results         []json.RawMessage          `json:"results"`
+		Summary         *query.ReplicaSummaryWire  `json:"summary"`
+		LifetimeSummary *query.LifetimeSummaryWire `json:"lifetime_summary"`
+	}
+	if err := json.Unmarshal(body, &stored); err != nil {
 		return false
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	for i := range rs.Results {
-		if err := enc.Encode(rs.Results[i]); err != nil {
+	var buf []byte
+	for _, line := range stored.Results {
+		buf = append(append(buf[:0], line...), '\n')
+		if _, err := w.Write(buf); err != nil {
 			return true // client went away mid-replay
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	_ = enc.Encode(queryStreamLine{Done: true, Count: len(rs.Results), Summary: rs.Summary, LifetimeSummary: rs.LifetimeSummary})
+	done := &query.ResultSet{Summary: stored.Summary, LifetimeSummary: stored.LifetimeSummary}
+	_, _ = w.Write(query.AppendStreamDone(nil, len(stored.Results), done))
 	return true
 }
 
@@ -202,15 +195,19 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
 
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
 	count := 0
 	var encodeErr error
 	rs, err := s.execQuery(ctx, q, plan, got, func(tr query.TaskResult) error {
-		if err := enc.Encode(tr); err != nil {
+		// The line is the one the plan's worker already encoded for the
+		// task store; EncodeTaskResult only encodes when there is none.
+		line, err := query.EncodeTaskResult(tr)
+		if err == nil {
+			_, err = w.Write(line)
+		}
+		if err != nil {
 			encodeErr = err
 			return err // client went away; execution cancels the rest
 		}
@@ -226,6 +223,8 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		// absence — a hard truncation — still signals failure. A dead
 		// client connection gets nothing, which is fine: nobody is reading.
 		if encodeErr == nil {
+			enc := json.NewEncoder(w)
+			enc.SetEscapeHTML(false)
 			_ = enc.Encode(queryStreamErrorLine{Error: queryErrorDetail(r, err)})
 			if flusher != nil {
 				flusher.Flush()
@@ -238,7 +237,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			s.cfg.Store.PutResult(key, body)
 		}
 	}
-	_ = enc.Encode(queryStreamLine{Done: true, Count: count, Summary: rs.Summary, LifetimeSummary: rs.LifetimeSummary, Trace: rs.Trace})
+	_, _ = w.Write(query.AppendStreamDone(nil, count, rs))
 }
 
 // queryStreamErrorLine is the terminal NDJSON record of a failed stream:

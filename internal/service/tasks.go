@@ -37,6 +37,15 @@ var errStreamWrite = errors.New("service: task stream write failed")
 // delivered exactly the first k tasks of the range, so the coordinator
 // resumes from the first missing index instead of recomputing the shard.
 
+// encodedTaskLine is the send side of a dist.TaskLine task line: the same
+// members, with the result carried verbatim as the line its plan already
+// encoded (a store-attached plan encodes every task once, in its worker).
+type encodedTaskLine struct {
+	Index  int             `json:"index,omitempty"`
+	WallMS float64         `json:"wall_ms,omitempty"`
+	Result json.RawMessage `json:"result"`
+}
+
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	var req dist.TaskRequest
 	if !decodeJSON(w, r, &req) {
@@ -74,8 +83,11 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 
 	count := 0
 	err = plan.ExecuteRange(r.Context(), got, req.From, req.To, func(tr query.TaskResult, wallMS float64) error {
-		res := tr
-		if err := enc.Encode(dist.TaskLine{Index: tr.Index, WallMS: wallMS, Result: &res}); err != nil {
+		res, err := query.EncodeTaskResult(tr)
+		if err != nil {
+			return err
+		}
+		if err := enc.Encode(encodedTaskLine{Index: tr.Index, WallMS: wallMS, Result: res}); err != nil {
 			return fmt.Errorf("%w: %v", errStreamWrite, err)
 		}
 		count++

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"dense802154/internal/query"
 	"dense802154/internal/telemetry"
 )
 
@@ -262,6 +263,16 @@ func TestHealthzBuildInfoAndStatsSnapshot(t *testing.T) {
 	if st.WorkerBudget != 2 {
 		t.Errorf("worker_budget = %d, want 2", st.WorkerBudget)
 	}
+}
+
+// queryStreamLine decodes the done line of a /v2/query/stream response
+// (written by query.AppendStreamDone).
+type queryStreamLine struct {
+	Done            bool                       `json:"done"`
+	Count           int                        `json:"count"`
+	Summary         *query.ReplicaSummaryWire  `json:"summary,omitempty"`
+	LifetimeSummary *query.LifetimeSummaryWire `json:"lifetime_summary,omitempty"`
+	Trace           *query.PlanTraceWire       `json:"trace,omitempty"`
 }
 
 // TestStreamTraceOnDoneLine checks the opt-in trace rides the stream's done

@@ -5,6 +5,10 @@
 // and decoding it back reproduces the original float64 bits, and encoding
 // the same value twice produces the same bytes, which is what lets golden
 // files be compared with bytes.Equal.
+//
+// AppendFloat is the single float formatting rule: Float.MarshalJSON and
+// every hand-written append encoder (internal/query) call it, so a float
+// reads the same in every body, stream line, store entry and golden file.
 package wire
 
 import (
@@ -23,16 +27,22 @@ type Float float64
 
 // MarshalJSON implements json.Marshaler.
 func (f Float) MarshalJSON() ([]byte, error) {
-	v := float64(f)
+	return AppendFloat(nil, float64(f)), nil
+}
+
+// AppendFloat appends the JSON form of v to dst: the shortest 'g'
+// representation that parses back to the same bits for finite values, and
+// the strings "+Inf", "-Inf" and "NaN" otherwise.
+func AppendFloat(dst []byte, v float64) []byte {
 	switch {
 	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
+		return append(dst, `"+Inf"`...)
 	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
+		return append(dst, `"-Inf"`...)
 	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
+		return append(dst, `"NaN"`...)
 	}
-	return strconv.AppendFloat(nil, v, 'g', -1, 64), nil
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }
 
 // UnmarshalJSON implements json.Unmarshaler.

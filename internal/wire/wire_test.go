@@ -74,3 +74,31 @@ func TestSliceHelpers(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendFloatForms pins the one float formatting rule: shortest 'g'
+// for finite values (negative zero and exponents included) and the named
+// strings for non-finite ones, appended after whatever dst holds, and
+// MarshalJSON producing the same bytes.
+func TestAppendFloatForms(t *testing.T) {
+	for v, want := range map[float64]string{
+		1:                           `1`,
+		0.1:                         `0.1`,
+		1e21:                        `1e+21`,
+		1e-7:                        `1e-07`,
+		math.Copysign(0, -1):        `-0`,
+		math.MaxFloat64:             `1.7976931348623157e+308`,
+		math.SmallestNonzeroFloat64: `5e-324`,
+		math.Inf(1):                 `"+Inf"`,
+		math.Inf(-1):                `"-Inf"`,
+	} {
+		if got := string(AppendFloat([]byte("x:"), v)); got != "x:"+want {
+			t.Errorf("AppendFloat(%v) = %s, want x:%s", v, got, want)
+		}
+		if b, _ := Float(v).MarshalJSON(); string(b) != want {
+			t.Errorf("MarshalJSON(%v) = %s, want %s", v, b, want)
+		}
+	}
+	if got := string(AppendFloat(nil, math.NaN())); got != `"NaN"` {
+		t.Errorf("AppendFloat(NaN) = %s", got)
+	}
+}
