@@ -183,7 +183,12 @@
 // timeout_ms) are zeroed, so two queries share a cache line exactly when
 // they describe the same computation, regardless of how parallel either
 // run was. Under each query key the store holds the encoded per-task
-// results and, for untraced queries, the full encoded ResultSet.
+// results and, for untraced queries, the full encoded ResultSet. In memory
+// the two share bytes: storing a computed ResultSet re-points each of its
+// task entries at that task's element inside the body (the encoder reports
+// the element spans), so an answer is held once, not twice. Budget charges
+// stay per entry as put, so eviction order and wsn_store_bytes do not
+// depend on the sharing.
 //
 // The store is two-tiered. A bytes-bounded in-memory LRU (wsn-serve
 // -store-mem, 0 disables) fronts an optional on-disk tier (-store-dir)
@@ -364,7 +369,7 @@
 //
 // Underneath, the DES queue parks pre-sorted timelines (beacon schedules,
 // the common case in sparse/low-λ scenarios) in a FIFO far band beside
-// the 4-ary near heap, popping the global (at, seq) minimum of the two —
+// the 4-ary near heap, popping the global (key, seq) minimum of the two —
 // firing order is bit-identical to a single queue (pinned by replay tests
 // against a reference implementation and by every committed golden), but
 // parked events skip the heap sift entirely: the DESFastForward benchmark
@@ -377,15 +382,19 @@
 // sustained Monte-Carlo and discrete-event workloads are CPU-bound rather
 // than garbage-collector-bound:
 //
-//   - internal/des stores events by value in a flat 4-ary min-heap.
-//     Models register one typed Dispatcher and schedule (kind, actor,
-//     instant) triples instead of per-event closures; cancellation uses
+//   - One event queue, des.Queue, serves both cores: 40-byte value
+//     entries in a 4-ary near heap beside a sorted far band. The DES
+//     registers one typed Dispatcher and schedules (kind, actor, instant)
+//     triples — there is no per-event closure path; cancellation uses
 //     generation-checked slot handles with free-list reuse.
 //   - The Monte-Carlo contention shards (internal/contention) keep their
 //     transaction population in a flat value slice with the CSMA/CA state
 //     machines embedded (mac.Transaction.Init reuses storage in place),
 //     recycle whole shards through a sync.Pool, and compare busy windows
-//     with precomputed integer slot bounds.
+//     with precomputed integer slot bounds. A shard's pre-drawn arrivals
+//     are bulk-loaded into the queue's far band and radix-sorted once, and
+//     backoffs are skipped in O(1) (mac.Transaction.SkipBackoff), so the
+//     near heap holds only live contenders.
 //   - Every hot random stream is an engine.RNG — a single-word splitmix64
 //     rand.Source64 — embedded by value and seeded via engine.DeriveSeed,
 //     preserving bit-identical results at any worker count.
@@ -416,8 +425,8 @@
 // hot-path micro-benchmarks) and writes a JSON report of ns/op, B/op and
 // allocs/op per benchmark:
 //
-//	go run ./cmd/wsn-bench -out BENCH_PR12.json   # refresh the baseline
-//	go run ./cmd/wsn-bench -diff BENCH_PR12.json  # compare a fresh run
+//	go run ./cmd/wsn-bench -out BENCH_PR13.json   # refresh the baseline
+//	go run ./cmd/wsn-bench -diff BENCH_PR13.json  # compare a fresh run
 //
 // The committed BENCH_*.json files form the repository's performance
 // trajectory; CI regenerates a -quick report per push and diffs it against

@@ -15,6 +15,15 @@
 // (including one starting at it, since its energy fills the CCA window),
 // and collisions therefore occur exactly when several granted nodes start
 // on the same boundary.
+//
+// Each shard runs its event loop on internal/des's two-band Queue, the same
+// queue the network simulator uses. All arrivals of a shard are drawn up
+// front, so their first CCAs are bulk-loaded into the far band and sorted
+// once (stable radix sort on slot); the near heap holds only live
+// contenders and deferred resumes and stays small. The queue key
+// slot<<1 | kind with the spawn sequence as tie-break is the (slot, kind,
+// seq) order the loop has always fired in, so results are unchanged
+// (TestQueueReplayIdentity pins this against a single-heap reference).
 package contention
 
 import (
@@ -24,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"dense802154/internal/des"
 	"dense802154/internal/engine"
 	"dense802154/internal/frame"
 	"dense802154/internal/mac"
@@ -150,31 +160,12 @@ func (r Result) String() string {
 
 // event kinds, ordered so that within a slot transmission starts are
 // processed before CCAs (a transmission beginning at a boundary is detected
-// by a CCA at that boundary).
+// by a CCA at that boundary). An event's queue key is slot<<1 | kind, so the
+// des.Queue order (key, seq) is exactly (slot, kind, seq).
 const (
 	evTxStart = iota
 	evCCA
 )
-
-// event is one value-typed entry of a shard's flat event heap; txn indexes
-// the shard's transaction slice, so the queue carries no pointers.
-type event struct {
-	slot int64
-	seq  int32
-	kind uint8
-	txn  int32
-}
-
-// evBefore is the heap order: (slot, kind, seq).
-func evBefore(a, b *event) bool {
-	if a.slot != b.slot {
-		return a.slot < b.slot
-	}
-	if a.kind != b.kind {
-		return a.kind < b.kind
-	}
-	return a.seq < b.seq
-}
 
 // txn is one packet's channel-access attempt. The mac.Transaction is
 // embedded by value and re-initialized in place, so a shard's whole
@@ -188,14 +179,14 @@ type txn struct {
 	collided    bool
 }
 
-// shard is the reusable state of one Monte-Carlo shard: the value-typed
-// 4-ary event heap, the flat transaction population, the same-slot starter
-// scratch list and the shard's own single-word RNG. Shards are recycled
-// through shardPool, so a steady stream of Simulate calls reuses the same
-// backing arrays instead of re-growing them.
+// shard is the reusable state of one Monte-Carlo shard: the event queue,
+// the flat transaction population, the same-slot starter scratch list and
+// the shard's own single-word RNG. Shards are recycled through shardPool, so
+// a steady stream of Simulate calls reuses the same backing arrays instead
+// of re-growing them.
 type shard struct {
 	rng      engine.RNG
-	events   []event
+	q        des.Queue
 	txns     []txn
 	starters []int32
 }
@@ -204,65 +195,9 @@ var shardPool = sync.Pool{New: func() any { return new(shard) }}
 
 func (s *shard) reset(seed int64) {
 	s.rng = engine.NewRNG(seed)
-	s.events = s.events[:0]
+	s.q.Reset()
 	s.txns = s.txns[:0]
 	s.starters = s.starters[:0]
-}
-
-// push sifts a new event into the 4-ary min-heap. The sift logic is a
-// deliberate sibling of internal/des's (siftUp/siftDown): each copy is
-// specialized to its own event key so the hottest comparison stays inlined
-// and interface-free — change one, check the other.
-func (s *shard) push(ev event) {
-	h := append(s.events, ev)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !evBefore(&ev, &h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = ev
-	s.events = h
-}
-
-// pop removes and returns the heap minimum.
-func (s *shard) pop() event {
-	h := s.events
-	min := h[0]
-	n := len(h) - 1
-	ev := h[n]
-	s.events = h[:n]
-	if n == 0 {
-		return min
-	}
-	h = h[:n]
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if evBefore(&h[c], &h[best]) {
-				best = c
-			}
-		}
-		if !evBefore(&h[best], &ev) {
-			break
-		}
-		h[i] = h[best]
-		i = best
-	}
-	h[i] = ev
-	return min
 }
 
 // shardSuperframes is the fixed shard width of the parallel Monte-Carlo
@@ -284,7 +219,7 @@ const shardSuperframes = 8
 // independent superframe blocks executed on Config.Workers goroutines;
 // results are bit-identical for every worker count (see Config.Workers).
 //
-// Shard state (event heap, transaction population, RNG) is pooled and
+// Shard state (event queue, transaction population, RNG) is pooled and
 // reused across calls, and the per-shard statistics are folded shard by
 // shard in index order — there is no merged transaction slice at all, so
 // steady-state Simulate calls allocate only the small shard-pointer table.
@@ -292,6 +227,10 @@ func Simulate(cfg Config) Result {
 	cfg = cfg.withDefaults()
 	if cfg.TargetLoad < 0 {
 		panic("contention: negative target load")
+	}
+	// Validated once per run: mac.Transaction.Init trusts its parameters.
+	if err := cfg.CSMA.Validate(); err != nil {
+		panic(err)
 	}
 	nShards := (cfg.Superframes + shardSuperframes - 1) / shardSuperframes
 	shards := make([]*shard, nShards)
@@ -315,12 +254,16 @@ func Simulate(cfg Config) Result {
 }
 
 // simulateShard runs the event loop over one independent block of
-// superframes with its own RNG; it is the unit of parallelism. The shard's
-// backing arrays are reused from call to call; the loop itself performs no
-// steady-state allocation (see TestSimulateShardAllocFree).
+// superframes with its own RNG; it is the unit of parallelism. Every
+// arrival of the block is drawn up front, so the first CCAs are bulk-loaded
+// into the queue's far band and radix-sorted once; the near heap then holds
+// only the live contenders and deferred resumes. The shard's backing arrays
+// are reused from call to call; the loop itself performs no steady-state
+// allocation (see TestSimulateAllocBudget).
 func simulateShard(cfg Config, superframes int, seed int64, st *shard) {
 	st.reset(seed)
 	rng := &st.rng
+	q := &st.q
 
 	sfSlots := int64(cfg.Superframe.BeaconInterval() / phy.UnitBackoffPeriod)
 	packetSlots := float64(cfg.PacketDuration()) / float64(phy.UnitBackoffPeriod)
@@ -334,27 +277,15 @@ func simulateShard(cfg Config, superframes int, seed int64, st *shard) {
 	packetCeil := int64(math.Ceil(packetSlots))
 	beaconCeil := int64(math.Ceil(beaconSlots))
 
-	seq := int32(0)
-	push := func(slot int64, kind uint8, ti int32) {
-		st.push(event{slot: slot, seq: seq, kind: kind, txn: ti})
+	seq := uint64(0)
+	entry := func(slot int64, kind int64, ti int32) des.Entry {
+		e := des.Entry{Key: slot<<1 | kind, Seq: seq, Actor: ti}
 		seq++
+		return e
 	}
 
-	spawn := func(arrival int64) {
-		st.txns = append(st.txns, txn{arrivalSlot: arrival})
-		ti := int32(len(st.txns) - 1)
-		t := &st.txns[ti]
-		t.t.Init(cfg.CSMA, rng)
-		// The first CCA occurs after the initial random backoff.
-		first := arrival
-		for !t.t.CCADue() {
-			t.t.AdvanceSlot()
-			first++
-		}
-		push(first, evCCA, ti)
-	}
-
-	// Generate arrivals for every superframe of the shard up front.
+	// Generate arrivals for every superframe of the shard up front. The
+	// first CCA occurs after the initial random backoff.
 	for k := 0; k < superframes; k++ {
 		base := int64(k) * sfSlots
 		n := int(perSF)
@@ -362,14 +293,18 @@ func simulateShard(cfg Config, superframes int, seed int64, st *shard) {
 			n++
 		}
 		for i := 0; i < n; i++ {
-			switch cfg.Arrival {
-			case ArrivalAtBeacon:
-				spawn(base)
-			default:
-				spawn(base + rng.Int63n(sfSlots))
+			arrival := base
+			if cfg.Arrival != ArrivalAtBeacon {
+				arrival += rng.Int63n(sfSlots)
 			}
+			st.txns = append(st.txns, txn{arrivalSlot: arrival})
+			ti := int32(len(st.txns) - 1)
+			t := &st.txns[ti]
+			t.t.Init(cfg.CSMA, rng)
+			q.Load(entry(arrival+int64(t.t.SkipBackoff()), evCCA, ti))
 		}
 	}
+	q.Sort()
 
 	// Channel occupancy: transmissions never overlap except when they
 	// start on the same boundary, so one (start, until) pair suffices.
@@ -392,20 +327,23 @@ func simulateShard(cfg Config, superframes int, seed int64, st *shard) {
 		st.starters = st.starters[:0]
 	}
 
-	for len(st.events) > 0 {
-		ev := st.pop()
-		if ev.slot != lastStartSlot {
+	for {
+		ev, ok := q.Pop()
+		if !ok {
+			break
+		}
+		slot, ti := ev.Key>>1, ev.Actor
+		if slot != lastStartSlot {
 			flushStarters()
 		}
-		switch ev.kind {
-		case evTxStart:
-			t := &st.txns[ev.txn]
+		t := &st.txns[ti]
+		if ev.Key&1 == evTxStart {
 			// Defer if the packet cannot finish before the next beacon:
 			// resume with fresh CCAs right after that beacon.
-			phase := ev.slot % sfSlots
+			phase := slot % sfSlots
 			if phase+packetCeil > sfSlots {
-				resume := (ev.slot/sfSlots+1)*sfSlots + beaconCeil
-				push(resume, evCCA, ev.txn)
+				resume := (slot/sfSlots+1)*sfSlots + beaconCeil
+				q.Push(entry(resume, evCCA, ti))
 				// Re-arm the contention window: the transaction object
 				// cannot be rewound, so count the grant only when the
 				// transmission really starts.
@@ -413,39 +351,32 @@ func simulateShard(cfg Config, superframes int, seed int64, st *shard) {
 				continue
 			}
 			t.granted = true
-			t.endSlot = ev.slot + packetCeil
-			busyStart = ev.slot
-			if until := ev.slot + packetCeil; until > busyUntil {
+			t.endSlot = slot + packetCeil
+			busyStart = slot
+			if until := slot + packetCeil; until > busyUntil {
 				busyUntil = until
 			}
-			lastStartSlot = ev.slot
-			st.starters = append(st.starters, ev.txn)
-		case evCCA:
-			t := &st.txns[ev.txn]
-			if t.t.Done() {
-				// A deferred transaction resuming after a beacon: grant
-				// immediately at this boundary (its CCAs already
-				// succeeded); re-check fit via the evTxStart path.
-				push(ev.slot, evTxStart, ev.txn)
-				continue
-			}
-			busy := channelBusy(ev.slot)
-			switch t.t.CCAResult(busy) {
-			case mac.OutcomeNextCCA:
-				push(ev.slot+1, evCCA, ev.txn)
-			case mac.OutcomeTransmit:
-				push(ev.slot+1, evTxStart, ev.txn)
-			case mac.OutcomeBackoff:
-				next := ev.slot + 1
-				for !t.t.CCADue() {
-					t.t.AdvanceSlot()
-					next++
-				}
-				push(next, evCCA, ev.txn)
-			case mac.OutcomeFailure:
-				t.failed = true
-				t.endSlot = ev.slot
-			}
+			lastStartSlot = slot
+			st.starters = append(st.starters, ti)
+			continue
+		}
+		if t.t.Done() {
+			// A deferred transaction resuming after a beacon: grant
+			// immediately at this boundary (its CCAs already succeeded);
+			// re-check fit via the evTxStart path.
+			q.Push(entry(slot, evTxStart, ti))
+			continue
+		}
+		switch t.t.CCAResult(channelBusy(slot)) {
+		case mac.OutcomeNextCCA:
+			q.Push(entry(slot+1, evCCA, ti))
+		case mac.OutcomeTransmit:
+			q.Push(entry(slot+1, evTxStart, ti))
+		case mac.OutcomeBackoff:
+			q.Push(entry(slot+1+int64(t.t.SkipBackoff()), evCCA, ti))
+		case mac.OutcomeFailure:
+			t.failed = true
+			t.endSlot = slot
 		}
 	}
 	flushStarters()

@@ -1,6 +1,6 @@
 // Package des implements a small deterministic discrete-event simulation
-// kernel used by the network simulator and the Monte-Carlo contention
-// characterizer.
+// kernel used by the network simulator, and the event queue it shares with
+// the Monte-Carlo contention characterizer.
 //
 // Design:
 //   - Simulated time is a time.Duration measured from the start of the
@@ -8,49 +8,36 @@
 //     exactly representable in nanoseconds.
 //   - Events scheduled for the same instant fire in scheduling order
 //     (FIFO), which makes runs reproducible for a fixed seed.
-//   - The kernel is single-goroutine by design: handlers run synchronously
-//     inside Step/Run and may schedule or cancel further events.
+//   - The kernel is single-goroutine by design: the dispatcher runs
+//     synchronously inside Step/Run and may schedule or cancel further
+//     events.
 //
-// # Zero-allocation event engine
+// # One event queue
 //
-// The event queue is a flat 4-ary min-heap of value-typed events — no
-// per-event heap nodes, no container/heap boxing through `any`, no pointer
-// chasing during sift. Steady-state scheduling therefore allocates nothing:
-// pushing reuses the slice capacity, and popped events are plain struct
-// copies.
+// Events live in a Queue (queue.go): value-typed 40-byte entries ordered by
+// (key, seq) across two bands — no per-event heap nodes, no container/heap
+// boxing through `any`, no pointer chasing during sift. Steady-state
+// scheduling therefore allocates nothing. The near band is a flat 4-ary
+// min-heap. The far band is a sorted run consumed from the front: an event
+// at or after its tail appends in O(1) and pops in O(1), so a model that
+// pre-schedules its timeline in ascending order (netsim's beacon grid,
+// lifetime epochs) parks it for free and fast-forwards across idle spans at
+// one comparison per event instead of one sift. A pre-drawn batch that is
+// not in order — the contention Monte-Carlo's arrivals — is bulk-loaded
+// into the far band and radix-sorted once. Pops always compare the near
+// root against the far head and take the global minimum, so the firing
+// sequence is identical to a single heap's, event for event.
 //
-// # Idle fast-forward: the parked far band
-//
-// Long quiescent spans — a lifetime run ticking through thousands of
-// pre-scheduled beacons with almost no traffic between them — would pay a
-// full heap sift per beacon even though the beacons arrive pre-sorted. The
-// queue therefore has two bands. An event pushed at or after the latest
-// parked instant appends to the far band, a sorted FIFO consumed from the
-// front: O(1) push, O(1) pop. Anything earlier goes through the 4-ary near
-// heap as before. Step and peek always compare the near root against the
-// far head under the same (at, seq) order and take the global minimum, so
-// the firing sequence is identical to a single heap, event for event — the
-// split is purely a cost optimization and can never reorder a run. A model
-// that pre-schedules its timeline in ascending order (netsim's beacon
-// grid, lifetime epochs) parks it for free and fast-forwards across idle
-// spans at one comparison per event instead of one sift.
-//
-// Handlers come in two flavours:
-//
-//   - Typed dispatch (the hot path): the model registers one Dispatcher
-//     function and schedules events as an (kind, actor, arg) triple via
-//     AtEvent/ScheduleEvent. No closure is allocated per event; the
-//     dispatcher demultiplexes on the small kind enum. This is how netsim
-//     drives its per-node state machines.
-//   - Closure handlers (the convenience path): At/Schedule accept a func().
-//     The event storage itself is still allocation-free; only the closure
-//     the caller constructs escapes.
+// Events are typed: the model registers one Dispatcher function and
+// schedules events as a (kind, actor, arg) triple via AtEvent/ScheduleEvent.
+// No closure is allocated per event; the dispatcher demultiplexes on the
+// small kind enum. This is how netsim drives its per-node state machines.
 //
 // Cancellation works through EventID handles backed by a generation-checked
 // slot table with a free list: cancelled or fired slots are recycled for
 // later events, and a stale EventID (whose slot has been reused) is
 // harmlessly ignored. Cancelled events are removed lazily when they surface
-// at the heap root.
+// at the queue front.
 package des
 
 import (
@@ -59,9 +46,6 @@ import (
 
 	"dense802154/internal/engine"
 )
-
-// Handler is a callback invoked when an event fires.
-type Handler func()
 
 // Dispatcher receives typed events scheduled with AtEvent/ScheduleEvent:
 // kind is the model's event enum, actor identifies the entity the event
@@ -75,17 +59,6 @@ type Dispatcher func(kind, actor int32, arg time.Duration)
 type EventID struct {
 	slot int32
 	gen  uint32
-}
-
-// event is one value-typed entry of the flat event heap.
-type event struct {
-	at    time.Duration
-	seq   uint64
-	slot  int32 // index into Simulator.slots
-	kind  int32
-	actor int32
-	arg   time.Duration
-	fn    Handler // nil ⇒ typed dispatch
 }
 
 // slot states.
@@ -102,19 +75,19 @@ type slot struct {
 	state uint8
 }
 
-// Simulator is a discrete-event simulator instance.
+// Simulator is a discrete-event simulator instance. Its queue entries carry
+// the firing instant as Key, the cancellation slot as Slot and the typed
+// event as (Kind, Actor, Arg).
 type Simulator struct {
 	now      time.Duration
-	heap     []event // near band: 4-ary min-heap
-	far      []event // far band: sorted FIFO, consumed from farHead
-	farHead  int
+	q        Queue
 	slots    []slot
 	free     []int32
 	live     int // scheduled and not cancelled
 	seq      uint64
 	rng      engine.RNG
 	fired    uint64
-	maxDepth int // deepest the two bands have grown together this run
+	maxDepth int // deepest the queue has grown this run
 	dispatch Dispatcher
 }
 
@@ -125,22 +98,14 @@ func New(seed int64) *Simulator {
 }
 
 // Reset rewinds the simulator to the state New(seed) would produce while
-// keeping the heap, slot-table and free-list backing storage, so a recycled
+// keeping the queue, slot-table and free-list backing storage, so a recycled
 // simulator schedules its next run without growing allocations. The
 // registered dispatcher is kept. Every outstanding EventID is invalidated
 // (slot generations are bumped, exactly as if the events had fired);
 // holding a handle across Reset and cancelling it later is a harmless
 // no-op, the same guarantee stale handles already have.
 func (s *Simulator) Reset(seed int64) {
-	for i := range s.heap {
-		s.heap[i] = event{} // drop closure and payload references
-	}
-	s.heap = s.heap[:0]
-	for i := s.farHead; i < len(s.far); i++ {
-		s.far[i] = event{}
-	}
-	s.far = s.far[:0]
-	s.farHead = 0
+	s.q.Reset()
 	s.free = s.free[:0]
 	for i := range s.slots {
 		s.slots[i].gen++
@@ -170,35 +135,18 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 
 // MaxHeapDepth reports the deepest the event queue has grown since the last
 // Reset — the peak number of simultaneously pending entries across both
-// bands, a direct measure of scheduling pressure.
+// queue bands, a direct measure of scheduling pressure.
 func (s *Simulator) MaxHeapDepth() int { return s.maxDepth }
 
 // FarDepth reports the number of entries currently parked in the far band
 // (cancelled entries included until they are lazily collected). It exists
 // for tests and benchmarks that assert the fast-forward band is actually
 // absorbing a pre-scheduled timeline.
-func (s *Simulator) FarDepth() int { return len(s.far) - s.farHead }
+func (s *Simulator) FarDepth() int { return s.q.FarLen() }
 
 // Pending reports the number of events currently scheduled (cancelled
 // events are excluded even before their slots are collected).
 func (s *Simulator) Pending() int { return s.live }
-
-// Schedule queues fn to run after delay. It panics on negative delays:
-// scheduling into the past is always a bug in the calling model.
-func (s *Simulator) Schedule(delay time.Duration, fn Handler) EventID {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: negative delay %v", delay))
-	}
-	return s.At(s.now+delay, fn)
-}
-
-// At queues fn to run at absolute simulated time t (>= Now).
-func (s *Simulator) At(t time.Duration, fn Handler) EventID {
-	if fn == nil {
-		panic("des: nil handler")
-	}
-	return s.push(t, 0, 0, 0, fn)
-}
 
 // ScheduleEvent queues a typed event after delay (see Dispatcher).
 func (s *Simulator) ScheduleEvent(delay time.Duration, kind, actor int32, arg time.Duration) EventID {
@@ -210,19 +158,16 @@ func (s *Simulator) ScheduleEvent(delay time.Duration, kind, actor int32, arg ti
 
 // AtEvent queues a typed event at absolute simulated time t (>= Now). The
 // (kind, actor, arg) triple is delivered to the registered Dispatcher when
-// the event fires. Unlike closure scheduling, AtEvent allocates nothing in
-// steady state.
+// the event fires. AtEvent allocates nothing in steady state.
 func (s *Simulator) AtEvent(t time.Duration, kind, actor int32, arg time.Duration) EventID {
 	if s.dispatch == nil {
 		panic("des: AtEvent without a dispatcher (call SetDispatcher first)")
 	}
-	return s.push(t, kind, actor, arg, nil)
+	return s.push(t, kind, actor, arg)
 }
 
-// push allocates a slot (reusing the free list) and routes the event to a
-// band: an event at or after the latest parked instant appends to the far
-// band in O(1); anything earlier sifts into the near heap.
-func (s *Simulator) push(t time.Duration, kind, actor int32, arg time.Duration, fn Handler) EventID {
+// push allocates a slot (reusing the free list) and queues the event.
+func (s *Simulator) push(t time.Duration, kind, actor int32, arg time.Duration) EventID {
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", t, s.now))
 	}
@@ -236,22 +181,10 @@ func (s *Simulator) push(t time.Duration, kind, actor int32, arg time.Duration, 
 	}
 	sl := &s.slots[id]
 	sl.state = slotPending
-	ev := event{at: t, seq: s.seq, slot: id, kind: kind, actor: actor, arg: arg, fn: fn}
+	s.q.Push(Entry{Key: int64(t), Seq: s.seq, Slot: id, Kind: kind, Actor: actor, Arg: int64(arg)})
 	s.seq++
 	s.live++
-	if n := len(s.far); n == s.farHead || !before(&ev, &s.far[n-1]) {
-		// Keeps the far band sorted: seq is monotone, so an event at or
-		// after the tail instant extends the sorted order.
-		if s.farHead == n {
-			s.far = s.far[:0]
-			s.farHead = 0
-		}
-		s.far = append(s.far, ev)
-	} else {
-		s.heap = append(s.heap, ev)
-		s.siftUp(len(s.heap) - 1)
-	}
-	if depth := len(s.heap) + len(s.far) - s.farHead; depth > s.maxDepth {
+	if depth := s.q.Len(); depth > s.maxDepth {
 		s.maxDepth = depth
 	}
 	return EventID{slot: id, gen: sl.gen}
@@ -289,67 +222,22 @@ func (s *Simulator) release(id int32) {
 	s.free = append(s.free, id)
 }
 
-// farMin reports whether the next pending entry is the far head: the far
-// band is non-empty and the near heap is empty or ordered after it. The
-// (at, seq) comparison is what makes the two-band split invisible — the pop
-// sequence is exactly a single heap's.
-func (s *Simulator) farMin() bool {
-	if s.farHead >= len(s.far) {
-		return false
-	}
-	return len(s.heap) == 0 || before(&s.far[s.farHead], &s.heap[0])
-}
-
-// popFar removes the far-band head.
-func (s *Simulator) popFar() event {
-	ev := s.far[s.farHead]
-	s.far[s.farHead] = event{} // drop closure and payload references
-	s.farHead++
-	if s.farHead == len(s.far) {
-		s.far = s.far[:0]
-		s.farHead = 0
-	}
-	return ev
-}
-
-// popNext removes and returns the globally earliest entry across both
-// bands, collecting cancelled entries along the way.
-func (s *Simulator) popNext() (event, bool) {
-	for {
-		var ev event
-		switch {
-		case s.farMin():
-			ev = s.popFar()
-		case len(s.heap) > 0:
-			ev = s.heap[0]
-			s.popRoot()
-		default:
-			return event{}, false
-		}
-		if s.slots[ev.slot].state == slotCancelled {
-			s.release(ev.slot)
-			continue
-		}
-		return ev, true
-	}
-}
-
 // Step fires the next pending event, advancing the clock to its timestamp.
 // It reports whether an event was executed.
 func (s *Simulator) Step() bool {
-	ev, ok := s.popNext()
+	ev, ok := s.q.Pop()
+	for ok && s.slots[ev.Slot].state == slotCancelled {
+		s.release(ev.Slot) // collect a cancelled entry
+		ev, ok = s.q.Pop()
+	}
 	if !ok {
 		return false
 	}
-	s.release(ev.slot)
+	s.release(ev.Slot)
 	s.live--
-	s.now = ev.at
+	s.now = time.Duration(ev.Key)
 	s.fired++
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		s.dispatch(ev.kind, ev.actor, ev.arg)
-	}
+	s.dispatch(ev.Kind, ev.Actor, time.Duration(ev.Arg))
 	return true
 }
 
@@ -375,97 +263,17 @@ func (s *Simulator) RunUntil(deadline time.Duration) {
 }
 
 // peek reports the timestamp of the next non-cancelled event, collecting
-// cancelled entries from both bands along the way.
+// cancelled entries along the way.
 func (s *Simulator) peek() (time.Duration, bool) {
 	for {
-		var ev *event
-		far := s.farMin()
-		if far {
-			ev = &s.far[s.farHead]
-		} else if len(s.heap) > 0 {
-			ev = &s.heap[0]
-		} else {
+		ev := s.q.Min()
+		if ev == nil {
 			return 0, false
 		}
-		if s.slots[ev.slot].state == slotCancelled {
-			s.release(ev.slot)
-			if far {
-				s.popFar()
-			} else {
-				s.popRoot()
-			}
-			continue
+		if s.slots[ev.Slot].state != slotCancelled {
+			return time.Duration(ev.Key), true
 		}
-		return ev.at, true
+		s.release(ev.Slot)
+		s.q.Pop()
 	}
-}
-
-// ---- flat 4-ary min-heap, ordered by (at, seq) ----
-//
-// A 4-ary layout halves the tree depth of a binary heap; with value-typed
-// events the four-child comparison loop stays in one or two cache lines, so
-// pops touch fewer lines than a deeper binary sift would.
-
-// before reports heap ordering between two events.
-func before(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (s *Simulator) siftUp(i int) {
-	h := s.heap
-	ev := h[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !before(&ev, &h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = ev
-}
-
-// popRoot removes the heap minimum.
-func (s *Simulator) popRoot() {
-	h := s.heap
-	n := len(h) - 1
-	if n > 0 {
-		h[0] = h[n]
-	}
-	h[n] = event{} // clear the vacated tail (drops closure references)
-	s.heap = h[:n]
-	if n > 1 {
-		s.siftDown(0)
-	}
-}
-
-func (s *Simulator) siftDown(i int) {
-	h := s.heap
-	n := len(h)
-	ev := h[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if before(&h[c], &h[best]) {
-				best = c
-			}
-		}
-		if !before(&h[best], &ev) {
-			break
-		}
-		h[i] = h[best]
-		i = best
-	}
-	h[i] = ev
 }

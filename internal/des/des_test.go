@@ -8,14 +8,20 @@ import (
 	"time"
 )
 
+// record returns a simulator whose dispatcher appends every firing instant
+// to *at.
+func record(seed int64, at *[]time.Duration) *Simulator {
+	s := New(seed)
+	s.SetDispatcher(func(kind, actor int32, arg time.Duration) { *at = append(*at, s.Now()) })
+	return s
+}
+
 func TestEventsFireInTimeOrder(t *testing.T) {
-	s := New(1)
 	var order []time.Duration
+	s := record(1, &order)
 	delays := []time.Duration{50, 10, 30, 20, 40}
 	for _, d := range delays {
-		s.Schedule(d*time.Microsecond, func() {
-			order = append(order, s.Now())
-		})
+		s.ScheduleEvent(d*time.Microsecond, 0, 0, 0)
 	}
 	s.Run()
 	if len(order) != len(delays) {
@@ -31,14 +37,14 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 
 func TestSameTimeFIFO(t *testing.T) {
 	s := New(1)
-	var order []int
-	for i := 0; i < 100; i++ {
-		i := i
-		s.Schedule(time.Millisecond, func() { order = append(order, i) })
+	var order []int32
+	s.SetDispatcher(func(kind, actor int32, arg time.Duration) { order = append(order, actor) })
+	for i := int32(0); i < 100; i++ {
+		s.ScheduleEvent(time.Millisecond, 0, i, 0)
 	}
 	s.Run()
 	for i, v := range order {
-		if v != i {
+		if v != int32(i) {
 			t.Fatalf("same-time ordering violated at %d: got %d", i, v)
 		}
 	}
@@ -47,7 +53,8 @@ func TestSameTimeFIFO(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := New(1)
 	fired := false
-	e := s.Schedule(time.Millisecond, func() { fired = true })
+	s.SetDispatcher(func(kind, actor int32, arg time.Duration) { fired = true })
+	e := s.ScheduleEvent(time.Millisecond, 0, 0, 0)
 	s.Cancel(e)
 	if !s.Cancelled(e) {
 		t.Fatal("event not marked cancelled")
@@ -68,11 +75,23 @@ func TestCancel(t *testing.T) {
 }
 
 func TestCancelFromHandler(t *testing.T) {
+	const (
+		evCancel int32 = iota
+		evVictim
+	)
 	s := New(1)
 	fired := false
 	var victim EventID
-	s.Schedule(time.Microsecond, func() { s.Cancel(victim) })
-	victim = s.Schedule(time.Millisecond, func() { fired = true })
+	s.SetDispatcher(func(kind, actor int32, arg time.Duration) {
+		switch kind {
+		case evCancel:
+			s.Cancel(victim)
+		case evVictim:
+			fired = true
+		}
+	})
+	s.ScheduleEvent(time.Microsecond, evCancel, 0, 0)
+	victim = s.ScheduleEvent(time.Millisecond, evVictim, 0, 0)
 	s.Run()
 	if fired {
 		t.Fatal("event cancelled from a handler still fired")
@@ -83,10 +102,11 @@ func TestStaleHandleIsIgnored(t *testing.T) {
 	// After an event fires, its slot is recycled; a retained handle must
 	// not cancel the slot's next occupant.
 	s := New(1)
-	first := s.Schedule(time.Microsecond, func() {})
-	s.Run()
 	fired := false
-	s.Schedule(time.Microsecond, func() { fired = true })
+	s.SetDispatcher(func(kind, actor int32, arg time.Duration) { fired = kind == 1 })
+	first := s.ScheduleEvent(time.Microsecond, 0, 0, 0)
+	s.Run()
+	s.ScheduleEvent(time.Microsecond, 1, 0, 0)
 	s.Cancel(first) // stale: the slot now belongs to the second event
 	if s.Cancelled(first) {
 		t.Fatal("stale handle reports cancelled")
@@ -100,12 +120,13 @@ func TestStaleHandleIsIgnored(t *testing.T) {
 func TestScheduleFromHandler(t *testing.T) {
 	s := New(1)
 	var times []time.Duration
-	s.Schedule(time.Millisecond, func() {
+	s.SetDispatcher(func(kind, actor int32, arg time.Duration) {
 		times = append(times, s.Now())
-		s.Schedule(time.Millisecond, func() {
-			times = append(times, s.Now())
-		})
+		if kind == 0 {
+			s.ScheduleEvent(time.Millisecond, 1, 0, 0)
+		}
 	})
+	s.ScheduleEvent(time.Millisecond, 0, 0, 0)
 	s.Run()
 	want := []time.Duration{time.Millisecond, 2 * time.Millisecond}
 	if len(times) != 2 || times[0] != want[0] || times[1] != want[1] {
@@ -135,17 +156,17 @@ func TestTypedDispatch(t *testing.T) {
 	}
 }
 
-func TestTypedAndClosureInterleave(t *testing.T) {
+func TestKindsInterleaveFIFO(t *testing.T) {
+	// Same-instant events of different kinds fire in scheduling order, not
+	// grouped by kind.
 	s := New(1)
-	var order []string
-	s.SetDispatcher(func(kind, actor int32, arg time.Duration) {
-		order = append(order, "typed")
-	})
-	s.Schedule(time.Millisecond, func() { order = append(order, "closure") })
+	var order []int32
+	s.SetDispatcher(func(kind, actor int32, arg time.Duration) { order = append(order, kind) })
+	s.ScheduleEvent(time.Millisecond, 1, 0, 0)
 	s.ScheduleEvent(time.Millisecond, 0, 0, 0)
-	s.Schedule(2*time.Millisecond, func() { order = append(order, "closure") })
+	s.ScheduleEvent(2*time.Millisecond, 1, 0, 0)
 	s.Run()
-	want := []string{"closure", "typed", "closure"}
+	want := []int32{1, 0, 1}
 	for i := range want {
 		if i >= len(order) || order[i] != want[i] {
 			t.Fatalf("interleave order %v, want %v", order, want)
@@ -177,14 +198,14 @@ func TestAtEventWithoutDispatcherPanics(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	s := New(1)
-	count := 0
+	var fired []time.Duration
+	s := record(1, &fired)
 	for i := 1; i <= 10; i++ {
-		s.Schedule(time.Duration(i)*time.Millisecond, func() { count++ })
+		s.ScheduleEvent(time.Duration(i)*time.Millisecond, 0, 0, 0)
 	}
 	s.RunUntil(5 * time.Millisecond)
-	if count != 5 {
-		t.Fatalf("RunUntil fired %d events, want 5", count)
+	if len(fired) != 5 {
+		t.Fatalf("RunUntil fired %d events, want 5", len(fired))
 	}
 	if s.Now() != 5*time.Millisecond {
 		t.Fatalf("now %v, want 5ms", s.Now())
@@ -193,8 +214,8 @@ func TestRunUntil(t *testing.T) {
 		t.Fatalf("pending %d, want 5", s.Pending())
 	}
 	s.Run()
-	if count != 10 {
-		t.Fatalf("total fired %d, want 10", count)
+	if len(fired) != 10 {
+		t.Fatalf("total fired %d, want 10", len(fired))
 	}
 }
 
@@ -207,50 +228,41 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
+	var fired []time.Duration
+	s := record(1, &fired)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on negative delay")
 		}
 	}()
-	New(1).Schedule(-time.Second, func() {})
+	s.ScheduleEvent(-time.Second, 0, 0, 0)
 }
 
 func TestPastAtPanics(t *testing.T) {
-	s := New(1)
-	s.Schedule(time.Second, func() {})
+	var fired []time.Duration
+	s := record(1, &fired)
+	s.ScheduleEvent(time.Second, 0, 0, 0)
 	s.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on scheduling in the past")
 		}
 	}()
-	s.At(time.Millisecond, func() {})
-}
-
-func TestNilHandlerPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on nil handler")
-		}
-	}()
-	New(1).Schedule(time.Second, nil)
+	s.AtEvent(time.Millisecond, 0, 0, 0)
 }
 
 func TestDeterminismForFixedSeed(t *testing.T) {
 	run := func(seed int64) []time.Duration {
 		s := New(seed)
 		var out []time.Duration
-		var spawn func()
-		n := 0
-		spawn = func() {
+		s.SetDispatcher(func(kind, actor int32, arg time.Duration) {
 			out = append(out, s.Now())
-			n++
-			if n < 200 {
+			if len(out) < 200 {
 				d := time.Duration(s.Rand().Intn(1000)) * time.Microsecond
-				s.Schedule(d, spawn)
+				s.ScheduleEvent(d, 0, 0, 0)
 			}
-		}
-		s.Schedule(0, spawn)
+		})
+		s.ScheduleEvent(0, 0, 0, 0)
 		s.Run()
 		return out
 	}
@@ -266,9 +278,10 @@ func TestDeterminismForFixedSeed(t *testing.T) {
 }
 
 func TestFiredCounter(t *testing.T) {
-	s := New(1)
+	var fired []time.Duration
+	s := record(1, &fired)
 	for i := 0; i < 7; i++ {
-		s.Schedule(time.Duration(i)*time.Millisecond, func() {})
+		s.ScheduleEvent(time.Duration(i)*time.Millisecond, 0, 0, 0)
 	}
 	s.Run()
 	if s.Fired() != 7 {
@@ -278,11 +291,16 @@ func TestFiredCounter(t *testing.T) {
 
 func TestMaxHeapDepth(t *testing.T) {
 	s := New(1)
+	s.SetDispatcher(func(kind, actor int32, arg time.Duration) {
+		if kind == 1 {
+			s.ScheduleEvent(time.Millisecond, 0, 0, 0)
+		}
+	})
 	if s.MaxHeapDepth() != 0 {
 		t.Fatalf("fresh MaxHeapDepth = %d, want 0", s.MaxHeapDepth())
 	}
 	for i := 0; i < 9; i++ {
-		s.Schedule(time.Duration(i)*time.Millisecond, func() {})
+		s.ScheduleEvent(time.Duration(i)*time.Millisecond, 0, 0, 0)
 	}
 	s.Run()
 	if s.MaxHeapDepth() != 9 {
@@ -293,7 +311,7 @@ func TestMaxHeapDepth(t *testing.T) {
 		t.Fatalf("MaxHeapDepth after Reset = %d, want 0", s.MaxHeapDepth())
 	}
 	// Interleaved schedule/fire: the mark tracks the peak, not the total.
-	s.Schedule(time.Millisecond, func() { s.Schedule(time.Millisecond, func() {}) })
+	s.ScheduleEvent(time.Millisecond, 1, 0, 0)
 	s.Run()
 	if s.Fired() != 2 || s.MaxHeapDepth() != 1 {
 		t.Fatalf("Fired = %d MaxHeapDepth = %d, want 2 and 1", s.Fired(), s.MaxHeapDepth())
@@ -304,12 +322,10 @@ func TestMaxHeapDepth(t *testing.T) {
 // and the number fired equals the number scheduled.
 func TestPropertyOrderedFiring(t *testing.T) {
 	f := func(raw []uint16) bool {
-		s := New(3)
 		var fired []time.Duration
+		s := record(3, &fired)
 		for _, r := range raw {
-			s.Schedule(time.Duration(r)*time.Microsecond, func() {
-				fired = append(fired, s.Now())
-			})
+			s.ScheduleEvent(time.Duration(r)*time.Microsecond, 0, 0, 0)
 		}
 		s.Run()
 		if len(fired) != len(raw) {
@@ -328,9 +344,10 @@ func TestPropertyCancelSubset(t *testing.T) {
 		count := int(n%64) + 1
 		s := New(5)
 		firedCount := 0
+		s.SetDispatcher(func(kind, actor int32, arg time.Duration) { firedCount++ })
 		events := make([]EventID, count)
 		for i := 0; i < count; i++ {
-			events[i] = s.Schedule(time.Duration(i)*time.Microsecond, func() { firedCount++ })
+			events[i] = s.ScheduleEvent(time.Duration(i)*time.Microsecond, 0, 0, 0)
 		}
 		cancelled := 0
 		for i := 0; i < count; i++ {
@@ -356,13 +373,14 @@ func TestHeapStressRandomOrder(t *testing.T) {
 	const n = 5000
 	var last time.Duration
 	ok := true
+	s.SetDispatcher(func(kind, actor int32, arg time.Duration) {
+		if s.Now() < last {
+			ok = false
+		}
+		last = s.Now()
+	})
 	for i := 0; i < n; i++ {
-		s.Schedule(time.Duration(rng.Intn(1_000_000))*time.Nanosecond, func() {
-			if s.Now() < last {
-				ok = false
-			}
-			last = s.Now()
-		})
+		s.ScheduleEvent(time.Duration(rng.Intn(1_000_000))*time.Nanosecond, 0, 0, 0)
 	}
 	s.Run()
 	if !ok {
@@ -375,11 +393,26 @@ func TestHeapStressInterleavedCancel(t *testing.T) {
 	// counts must hold with slot recycling under churn.
 	s := New(11)
 	rng := rand.New(rand.NewSource(7))
+	const (
+		evWork int32 = iota
+		evNop
+		evRespawn
+	)
 	fired, spawned := 0, 0
-	s.SetDispatcher(func(kind, actor int32, arg time.Duration) { fired++ })
+	s.SetDispatcher(func(kind, actor int32, arg time.Duration) {
+		switch kind {
+		case evWork:
+			fired++
+		case evRespawn:
+			spawned++
+			if spawned < 100 {
+				s.ScheduleEvent(time.Duration(rng.Intn(500_000)), evRespawn, 0, 0)
+			}
+		}
+	})
 	var ids []EventID
 	for i := 0; i < 3000; i++ {
-		ids = append(ids, s.ScheduleEvent(time.Duration(rng.Intn(1_000_000)), 0, int32(i), 0))
+		ids = append(ids, s.ScheduleEvent(time.Duration(rng.Intn(1_000_000)), evWork, int32(i), 0))
 	}
 	cancelled := 0
 	for i := 0; i < len(ids); i += 3 {
@@ -387,15 +420,8 @@ func TestHeapStressInterleavedCancel(t *testing.T) {
 		cancelled++
 	}
 	// Handlers that respawn: every 10th firing schedules a fresh event.
-	s.Schedule(0, func() {})
-	var respawn func()
-	respawn = func() {
-		spawned++
-		if spawned < 100 {
-			s.Schedule(time.Duration(rng.Intn(500_000)), respawn)
-		}
-	}
-	s.Schedule(0, respawn)
+	s.ScheduleEvent(0, evNop, 0, 0)
+	s.ScheduleEvent(0, evRespawn, 0, 0)
 	s.Run()
 	if fired != 3000-cancelled {
 		t.Fatalf("typed fired = %d, want %d", fired, 3000-cancelled)
@@ -438,20 +464,6 @@ func BenchmarkScheduleFire(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ScheduleEvent(time.Duration(i%64)*time.Microsecond, 0, 0, 0)
-		if i%64 == 63 {
-			s.Run()
-		}
-	}
-	s.Run()
-}
-
-func BenchmarkScheduleFireClosure(b *testing.B) {
-	b.ReportAllocs()
-	s := New(1)
-	fn := func() {}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Schedule(time.Duration(i%64)*time.Microsecond, fn)
 		if i%64 == 63 {
 			s.Run()
 		}

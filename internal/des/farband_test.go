@@ -22,15 +22,26 @@ type scheduler interface {
 	Run()
 }
 
-// simBackend adapts Simulator.
-type simBackend struct{ s *Simulator }
+// simBackend adapts Simulator: each scheduled callback is a typed event
+// whose actor indexes the backend's callback table.
+type simBackend struct {
+	s   *Simulator
+	fns []func()
+}
 
-func (b simBackend) Now() time.Duration { return b.s.Now() }
-func (b simBackend) At(t time.Duration, fn func()) func() {
-	id := b.s.At(t, fn)
+func newSimBackend() *simBackend {
+	b := &simBackend{s: New(0)}
+	b.s.SetDispatcher(func(kind, actor int32, arg time.Duration) { b.fns[actor]() })
+	return b
+}
+
+func (b *simBackend) Now() time.Duration { return b.s.Now() }
+func (b *simBackend) At(t time.Duration, fn func()) func() {
+	b.fns = append(b.fns, fn)
+	id := b.s.AtEvent(t, 0, int32(len(b.fns)-1), 0)
 	return func() { b.s.Cancel(id) }
 }
-func (b simBackend) Run() { b.s.Run() }
+func (b *simBackend) Run() { b.s.Run() }
 
 // refEvent is one entry of the reference queue.
 type refEvent struct {
@@ -121,7 +132,7 @@ func driveScenario(sc scheduler, seed int64) []time.Duration {
 // schedules in exactly the order the reference single-queue semantics does.
 func TestFarBandReplayIdentity(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		got := driveScenario(simBackend{New(0)}, seed)
+		got := driveScenario(newSimBackend(), seed)
 		want := driveScenario(&refQueue{}, seed)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(got), len(want))
@@ -194,11 +205,12 @@ func TestFarBandOrderAgainstSort(t *testing.T) {
 	s := New(0)
 	type stamped struct {
 		at  time.Duration
-		seq int
+		seq int32
 	}
 	var want []stamped
 	var got []stamped
-	n := 0
+	s.SetDispatcher(func(kind, actor int32, arg time.Duration) { got = append(got, stamped{s.Now(), actor}) })
+	n := int32(0)
 	// Half a parked ascending run, half random inserts landing before it.
 	for i := 0; i < 400; i++ {
 		var at time.Duration
@@ -210,7 +222,7 @@ func TestFarBandOrderAgainstSort(t *testing.T) {
 		seq := n
 		n++
 		want = append(want, stamped{at, seq})
-		s.At(at, func() { got = append(got, stamped{s.Now(), seq}) })
+		s.AtEvent(at, 0, seq, 0)
 	}
 	sort.SliceStable(want, func(i, j int) bool {
 		if want[i].at != want[j].at {

@@ -78,8 +78,12 @@ type Transaction struct {
 }
 
 // NewTransaction starts a channel-access attempt: it draws the initial
-// random delay uniformly from [0, 2^BE-1] backoff slots.
+// random delay uniformly from [0, 2^BE-1] backoff slots. It panics on
+// parameters that fail CSMAParams.Validate.
 func NewTransaction(p CSMAParams, rng Rand) *Transaction {
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
 	t := new(Transaction)
 	t.Init(p, rng)
 	return t
@@ -88,11 +92,9 @@ func NewTransaction(p CSMAParams, rng Rand) *Transaction {
 // Init (re)starts the transaction in place — the zero-allocation path for
 // callers that embed Transaction by value (the Monte-Carlo contention shards
 // and the netsim nodes). It resets every field, so a finished transaction's
-// storage can be reused for a fresh attempt.
+// storage can be reused for a fresh attempt. Init trusts p: callers validate
+// it once per run rather than once per packet.
 func (t *Transaction) Init(p CSMAParams, rng Rand) {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
 	*t = Transaction{params: p, rng: rng}
 	t.be = p.effectiveBE(p.MinBE)
 	t.cw = p.CW
@@ -118,6 +120,19 @@ func (t *Transaction) AdvanceSlot() {
 	}
 	t.pending--
 	t.waitSlots++
+}
+
+// SkipBackoff consumes every remaining backoff slot at once, counting them as
+// waited exactly as that many AdvanceSlot calls would, and returns how many
+// it skipped; afterwards a CCA is due. A finished transaction skips nothing.
+func (t *Transaction) SkipBackoff() int {
+	if t.done {
+		return 0
+	}
+	n := t.pending
+	t.pending = 0
+	t.waitSlots += n
+	return n
 }
 
 // CCAResult feeds the outcome of a clear channel assessment performed at a

@@ -90,8 +90,9 @@ func (tr *TaskResult) encodeLine() ([]byte, error) {
 }
 
 // appendResultSet appends the canonical encoding of rs (trailing newline
-// included), splicing the per-task bytes the plan already encoded.
-func appendResultSet(b []byte, rs *ResultSet) ([]byte, error) {
+// included), splicing the per-task bytes the plan already encoded. A non-nil
+// spans collects where each task element landed in the output.
+func appendResultSet(b []byte, rs *ResultSet, spans *[]TaskSpan) ([]byte, error) {
 	b = strconv.AppendInt(append(b, `{"version":`...), int64(rs.Version), 10)
 	b = appendString(append(b, `,"kind":`...), string(rs.Kind))
 	if rs.Results == nil {
@@ -103,13 +104,17 @@ func appendResultSet(b []byte, rs *ResultSet) ([]byte, error) {
 				b = append(b, ',')
 			}
 			tr := &rs.Results[i]
+			start := len(b)
 			if tr.encoded != nil {
 				b = append(b, tr.encoded[:len(tr.encoded)-1]...)
-				continue
+			} else {
+				var err error
+				if b, err = appendTaskResult(b, tr); err != nil {
+					return nil, err
+				}
 			}
-			var err error
-			if b, err = appendTaskResult(b, tr); err != nil {
-				return nil, err
+			if spans != nil {
+				*spans = append(*spans, TaskSpan{Index: tr.Index, Start: start, End: len(b)})
 			}
 		}
 		b = append(b, ']')

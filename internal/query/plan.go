@@ -139,6 +139,31 @@ func (rs *ResultSet) Value() any { return rs.value }
 // with bytes.Equal. Tasks a store-attached plan already encoded are spliced
 // in, not encoded again.
 func (rs *ResultSet) Encode() ([]byte, error) {
+	return appendResultSet(make([]byte, 0, rs.encodedSizeHint()), rs, nil)
+}
+
+// TaskSpan locates one task element inside an encoded ResultSet body:
+// body[Start:End] is the element's canonical bytes, which are the task's
+// NDJSON line without its trailing newline. Index is the task's plan index.
+type TaskSpan struct {
+	Index, Start, End int
+}
+
+// EncodeSpans is Encode that also records each task element's span in the
+// body, in Results order — what lets the result store keep one copy of the
+// bytes for the whole-query entry and every task entry (store.PutResult).
+func (rs *ResultSet) EncodeSpans() ([]byte, []TaskSpan, error) {
+	spans := make([]TaskSpan, 0, len(rs.Results))
+	b, err := appendResultSet(make([]byte, 0, rs.encodedSizeHint()), rs, &spans)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b, spans, nil
+}
+
+// encodedSizeHint estimates the encoded size of rs, so one allocation
+// usually holds the whole body.
+func (rs *ResultSet) encodedSizeHint() int {
 	n := 256
 	for i := range rs.Results {
 		if e := rs.Results[i].encoded; e != nil {
@@ -150,7 +175,7 @@ func (rs *ResultSet) Encode() ([]byte, error) {
 	if rs.Trace != nil {
 		n += 96 * len(rs.Trace.Spans)
 	}
-	return appendResultSet(make([]byte, 0, n), rs)
+	return n
 }
 
 // task is one schedulable unit of a compiled plan.

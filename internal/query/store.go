@@ -13,9 +13,11 @@ import (
 
 // TaskStore is the per-task result cache a Plan consults during execution:
 // already keyed to one query's content hash, indexed by plan task index.
-// GetTask returns the canonical encoded TaskResult bytes of a stored task;
-// PutTask stores freshly computed ones. Implementations must be safe for
-// concurrent use; the returned bytes must not be mutated by either side.
+// GetTask returns the canonical encoded TaskResult bytes of a stored task
+// (the trailing newline of the task line may be absent: a store may share
+// the element inside a stored ResultSet body); PutTask stores freshly
+// computed ones. Implementations must be safe for concurrent use; the
+// returned bytes must not be mutated by either side.
 // store.Store.Tasks produces one.
 type TaskStore interface {
 	GetTask(index int) ([]byte, bool)

@@ -63,7 +63,9 @@ func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelF
 // (no Direct inputs) and tracing is off — traces carry measured wall times,
 // which are never part of result bytes, so a traced query bypasses the
 // whole-query cache entirely (its per-task results still flow through the
-// plan-level store, which holds no trace data).
+// plan-level store, which holds no trace data). Whole entries are put with
+// their task spans (ResultSet.EncodeSpans), so in memory a query's whole
+// entry and its task entries share one copy of the bytes.
 func (s *Server) resultKey(q query.Query) (store.Key, bool) {
 	if s.cfg.Store == nil || q.Trace {
 		return store.Key{}, false
@@ -121,13 +123,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, r, err)
 		return
 	}
-	body, err := rs.Encode()
+	body, spans, err := rs.EncodeSpans()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error(), "")
 		return
 	}
 	if cacheable {
-		s.cfg.Store.PutResult(key, body)
+		s.cfg.Store.PutResult(key, body, spans...)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
@@ -233,8 +235,8 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if cacheable {
-		if body, err := rs.Encode(); err == nil {
-			s.cfg.Store.PutResult(key, body)
+		if body, spans, err := rs.EncodeSpans(); err == nil {
+			s.cfg.Store.PutResult(key, body, spans...)
 		}
 	}
 	_, _ = w.Write(query.AppendStreamDone(nil, count, rs))

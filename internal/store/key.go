@@ -15,6 +15,13 @@
 // checksum, and a truncated or corrupt file is a miss plus recompute — never
 // a wrong byte. The standing invariant is absolute: cached bytes equal
 // freshly computed bytes at any worker count.
+//
+// In memory, a query's whole entry and its task entries share bytes:
+// PutResult takes the body's task spans and re-points each matching task
+// entry at its element, so a computed answer is held once. A task entry
+// then holds its element without the task line's trailing newline, which
+// every reader decodes identically. Budget charges are those of the bytes
+// as put, so sharing changes real memory only, never eviction order.
 package store
 
 import (

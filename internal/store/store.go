@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"crypto/subtle"
 	"os"
@@ -15,7 +16,8 @@ import (
 const DefaultMaxBytes = 256 << 20
 
 // resultIndex is the reserved entry index of a whole-query ResultSet body
-// (task indexes are ≥ 0).
+// (task indexes are ≥ 0). In memory, a query's whole entry and its task
+// entries share one byte array once PutResult has seen the task spans.
 const resultIndex = -1
 
 // entryOverhead approximates the fixed per-entry memory cost (map slot, key,
@@ -44,8 +46,16 @@ type entryKey struct {
 
 // entry is one in-memory cache line on the intrusive recency list.
 type entry struct {
-	k          entryKey
-	b          []byte
+	k entryKey
+	b []byte
+	// size is the payload length charged against the budget: len(b) as
+	// put, kept when b is re-pointed into a whole-query body.
+	size int64
+	// shared marks a task entry whose b aliases its query's whole entry.
+	shared bool
+	// tasks is, on a whole entry, one past the highest task index that
+	// PutResult re-pointed into it.
+	tasks      int
 	prev, next *entry
 }
 
@@ -107,7 +117,7 @@ func (s *Store) PutTask(key Key, index int, b []byte) {
 	if index < 0 {
 		return
 	}
-	s.put(entryKey{key, index}, b)
+	s.put(entryKey{key, index}, b, nil)
 }
 
 // GetResult returns the stored whole-query ResultSet bytes of key.
@@ -116,9 +126,47 @@ func (s *Store) GetResult(key Key) ([]byte, bool) {
 }
 
 // PutResult stores the whole-query ResultSet bytes of key — the exact bytes
-// served, so a later hit is byte-identical by construction.
-func (s *Store) PutResult(key Key, b []byte) {
-	s.put(entryKey{key, resultIndex}, b)
+// served, so a later hit is byte-identical by construction. The body is
+// copied once; spans (query.ResultSet.EncodeSpans) locate its task
+// elements, and every in-memory task entry of key whose bytes equal its
+// element (ignoring the task line's trailing newline) is re-pointed at it,
+// so a computed query's answer is held once, not twice. Budget charges do
+// not change: each entry keeps the size it was put with. Should the whole
+// entry be evicted first, its surviving task entries get their own copies
+// back, so shared bytes never outlive their charge.
+func (s *Store) PutResult(key Key, b []byte, spans ...query.TaskSpan) {
+	s.put(entryKey{key, resultIndex}, b, spans)
+}
+
+// shareLocked re-points the task entries named by spans into whole's bytes.
+func (s *Store) shareLocked(whole *entry, spans []query.TaskSpan) {
+	for _, sp := range spans {
+		if sp.Index < 0 || sp.Start < 0 || sp.Start > sp.End || sp.End > len(whole.b) {
+			continue
+		}
+		e, ok := s.entries[entryKey{whole.k.key, sp.Index}]
+		if !ok {
+			continue
+		}
+		el := whole.b[sp.Start:sp.End:sp.End]
+		if !bytes.Equal(bytes.TrimSuffix(e.b, []byte{'\n'}), el) {
+			continue
+		}
+		e.b = el
+		e.shared = true
+		whole.tasks = max(whole.tasks, sp.Index+1)
+	}
+}
+
+// unshareLocked gives every task entry still sharing the evicted whole's
+// bytes its own copy.
+func (s *Store) unshareLocked(whole *entry) {
+	for i := 0; i < whole.tasks; i++ {
+		if e, ok := s.entries[entryKey{whole.k.key, i}]; ok && e.shared {
+			e.b = bytes.Clone(e.b)
+			e.shared = false
+		}
+	}
 }
 
 // taskView adapts one query's slice of the store to query.TaskStore.
@@ -167,39 +215,51 @@ func (s *Store) get(k entryKey) ([]byte, bool) {
 	return nil, false
 }
 
-// put copies b, installs it in the memory tier and mirrors it to disk.
-func (s *Store) put(k entryKey, b []byte) {
+// put copies b, installs it in the memory tier, re-points the task entries
+// spans name into it, and mirrors it to disk.
+func (s *Store) put(k entryKey, b []byte, spans []query.TaskSpan) {
 	PutsTotal.Inc()
 	c := make([]byte, len(b))
 	copy(c, b)
-	s.insert(k, c)
+	s.mu.Lock()
+	if e := s.insertLocked(k, c); e != nil {
+		s.shareLocked(e, spans)
+	}
+	s.mu.Unlock()
 	if s.cfg.Dir != "" {
 		s.diskWrite(k, c)
 	}
 }
 
-// insert installs owned bytes into the memory tier and evicts from the cold
-// end while over budget. An entry larger than the whole budget skips the
-// memory tier (it would evict everything and then itself); the disk tier
-// still holds it.
+// insert installs owned bytes into the memory tier (see insertLocked).
 func (s *Store) insert(k entryKey, b []byte) {
-	cost := int64(len(b)) + entryOverhead
-	if cost > s.cfg.MaxBytes {
-		return
-	}
 	s.mu.Lock()
-	if e, ok := s.entries[k]; ok {
-		s.bytes += int64(len(b)) - int64(len(e.b))
-		BytesGauge.Add(int64(len(b)) - int64(len(e.b)))
-		e.b = b
+	s.insertLocked(k, b)
+	s.mu.Unlock()
+}
+
+// insertLocked installs owned bytes into the memory tier, evicts from the
+// cold end while over budget, and returns the installed entry. An entry
+// larger than the whole budget skips the memory tier (it would evict
+// everything and then itself) and returns nil; the disk tier still holds it.
+func (s *Store) insertLocked(k entryKey, b []byte) *entry {
+	size := int64(len(b))
+	if size+entryOverhead > s.cfg.MaxBytes {
+		return nil
+	}
+	e, ok := s.entries[k]
+	if ok {
+		s.bytes += size - e.size
+		BytesGauge.Add(size - e.size)
+		e.b, e.size, e.shared = b, size, false
 		s.unlink(e)
 		s.pushFront(e)
 	} else {
-		e = &entry{k: k, b: b}
+		e = &entry{k: k, b: b, size: size}
 		s.entries[k] = e
 		s.pushFront(e)
-		s.bytes += cost
-		BytesGauge.Add(cost)
+		s.bytes += size + entryOverhead
+		BytesGauge.Add(size + entryOverhead)
 		EntriesGauge.Add(1)
 	}
 	for s.bytes > s.cfg.MaxBytes {
@@ -209,12 +269,15 @@ func (s *Store) insert(k entryKey, b []byte) {
 		}
 		s.unlink(old)
 		delete(s.entries, old.k)
-		s.bytes -= int64(len(old.b)) + entryOverhead
-		BytesGauge.Add(-(int64(len(old.b)) + entryOverhead))
+		if old.tasks > 0 {
+			s.unshareLocked(old)
+		}
+		s.bytes -= old.size + entryOverhead
+		BytesGauge.Add(-(old.size + entryOverhead))
 		EntriesGauge.Add(-1)
 		EvictionsTotal.Inc()
 	}
-	s.mu.Unlock()
+	return e
 }
 
 func (s *Store) unlink(e *entry) {

@@ -405,3 +405,117 @@ func TestTasksView(t *testing.T) {
 		t.Fatal("negative index stored through task view")
 	}
 }
+
+// sharedQuery builds the task lines and the whole body of one small query,
+// with the body's task spans.
+func sharedQuery(t *testing.T, label string, tasks int) ([][]byte, []byte, []query.TaskSpan) {
+	t.Helper()
+	rs := query.ResultSet{Version: query.Version, Kind: query.KindBatch}
+	lines := make([][]byte, tasks)
+	for i := range lines {
+		tr := query.TaskResult{Index: i, Label: label + strconv.Itoa(i)}
+		rs.Results = append(rs.Results, tr)
+		b, err := query.EncodeTaskResult(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines[i] = b
+	}
+	body, spans, err := rs.EncodeSpans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines, body, spans
+}
+
+// memKeys lists the in-memory entries, most recent first.
+func memKeys(s *Store) []entryKey {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var ks []entryKey
+	for e := s.root.next; e != &s.root; e = e.next {
+		ks = append(ks, e.k)
+	}
+	return ks
+}
+
+// TestPutResultSharingKeepsAccounting drives two stores through the same
+// operations — one handing PutResult the task spans, one not (the unshared
+// layout) — and requires identical budget charges, entry sets and eviction
+// order at every step, including evictions that take a whole entry before
+// its tasks. A task entry outliving its whole entry owns its bytes again.
+func TestPutResultSharingKeepsAccounting(t *testing.T) {
+	const budget = 2000
+	shared, err := New(Config{MaxBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := New(Config{MaxBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string) {
+		t.Helper()
+		if a, b := shared.Stats(), plain.Stats(); a != b {
+			t.Fatalf("%s: stats %+v, unshared layout %+v", step, a, b)
+		}
+		if a, b := memKeys(shared), memKeys(plain); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: entries %v, unshared layout %v", step, a, b)
+		}
+	}
+	for q := 0; q < 12; q++ {
+		var key Key
+		key[0] = byte(q)
+		lines, body, spans := sharedQuery(t, "q"+strconv.Itoa(q)+"-", 3)
+		for i, line := range lines {
+			shared.PutTask(key, i, line)
+			plain.PutTask(key, i, line)
+		}
+		shared.PutResult(key, body, spans...)
+		plain.PutResult(key, body)
+		check("put query " + strconv.Itoa(q))
+		for i := range lines {
+			b, ok := shared.MemBytes(key, i)
+			if !ok {
+				continue
+			}
+			whole, _ := shared.MemBytes(key, resultIndex)
+			if sp := spans[i]; &b[0] != &whole[sp.Start] {
+				t.Fatalf("query %d task %d not shared", q, i)
+			}
+		}
+		if q%3 == 0 {
+			// Touch the tasks so the whole entry is the cold end and leaves
+			// before them.
+			for i := range lines {
+				shared.GetTask(key, i)
+				plain.GetTask(key, i)
+			}
+			check("touch query " + strconv.Itoa(q))
+		}
+	}
+	// Every surviving task whose whole entry is gone owns its bytes again.
+	orphans := 0
+	for q := 0; q < 12; q++ {
+		var key Key
+		key[0] = byte(q)
+		if _, ok := shared.MemBytes(key, resultIndex); ok {
+			continue
+		}
+		for i := 0; i < 3; i++ {
+			shared.mu.Lock()
+			e, ok := shared.entries[entryKey{key, i}]
+			shared.mu.Unlock()
+			if !ok {
+				continue
+			}
+			orphans++
+			if e.shared {
+				t.Errorf("query %d task %d still shares an evicted whole entry", q, i)
+			}
+		}
+	}
+	if orphans == 0 {
+		t.Fatal("no task outlived its whole entry; the sequence tests nothing")
+	}
+}
