@@ -110,7 +110,7 @@ func main() {
 		shardSize    = flag.Int("shard-size", 0, "tasks per dispatched shard (0 = about two shards per worker)")
 		shardTimeout = flag.Duration("shard-timeout", 0, "per-shard deadline before re-dispatch (0 = 60s)")
 		distAttempts = flag.Int("dist-attempts", 0, "dispatch attempts per index range before local fallback (0 = 4)")
-		reqTimeout   = flag.Duration("request-timeout", 0, "per-query deadline of the v2 routes, answered 504 (0 = none)")
+		reqTimeout   = flag.Duration("request-timeout", 0, "per-query deadline of the compute routes, answered 504 on v2 and 503 on v1 (0 = none)")
 		faultExit    = flag.Int("fault-exit-after-tasks", 0, "TESTING: exit(3) after serving this many /v2/tasks lines")
 
 		storeMem = flag.Int64("store-mem", store.DefaultMaxBytes, "in-memory result-store budget in bytes (0 = store disabled, even with -store-dir)")

@@ -115,8 +115,11 @@
 //
 // The frozen v1 routes (/v1/evaluate, /v1/batch, /v1/casestudy,
 // /v1/sweep/*, /v1/simulate, /v1/experiments, /v1/scenarios) remain for
-// existing clients; internal/service documents the exact v1 → v2 wire
-// mapping. Requests carry optional "workers" fields, but the server clamps
+// existing clients with their response bytes unchanged. Each compute route
+// is an adapter: it maps its body onto the v2 Query internal/service
+// documents (the v1 → v2 wire mapping), runs it exactly as /v2/query
+// would — same store, same -peers fleet, same per-query deadline — and
+// projects the result back into the v1 shape. Requests carry optional "workers" fields, but the server clamps
 // every grant to its own -workers token budget, so any number of clients
 // shares one pool; results are bit-identical to in-process calls
 // regardless of the grant. Validation failures return structured 400
@@ -229,8 +232,8 @@
 //	wsn_http_requests_in_flight                 gauge      requests currently executing
 //	wsn_http_errors_total{route,class}          counter    non-2xx responses (class 4xx|5xx)
 //	wsn_http_panics_total                       counter    handler/collector panics recovered
-//	wsn_query_total{kind}                       counter    v2 queries by kind
-//	wsn_query_tasks_total                       counter    plan tasks scheduled by v2 queries
+//	wsn_query_total{kind}                       counter    queries (v1 and v2) by kind
+//	wsn_query_tasks_total                       counter    plan tasks scheduled by queries
 //	wsn_worker_pool_capacity                    gauge      worker-token budget
 //	wsn_worker_pool_in_use                      gauge      tokens currently held
 //	wsn_worker_acquires_total                   counter    token-pool acquisitions

@@ -3,30 +3,70 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
+	"strings"
 
-	"dense802154/internal/channel"
-	"dense802154/internal/core"
-	"dense802154/internal/engine"
 	"dense802154/internal/experiments"
-	"dense802154/internal/netsim"
-	"dense802154/internal/stats"
+	"dense802154/internal/query"
 )
 
-// maxBatchParams caps one /v1/batch request; larger workloads page or
-// stream across several requests.
-const maxBatchParams = 10000
+// ---- v1 adapters ----
+//
+// Every v1 compute route is a request/response adapter over the v2 query
+// plan: it decodes the v1 body, builds the query.Query the mapping in
+// codec.go names, runs it through execute — the execution path /v2/query
+// uses — and projects the ResultSet into the frozen v1 response shape. The
+// helpers below keep the v1 error contract: validation errors carry the v1
+// field names, every context failure is a 503.
 
-// acquireWorkers is the request prologue: block (under the request context)
-// for a share of the server worker pool.
-func (s *Server) acquireWorkers(w http.ResponseWriter, r *http.Request, want int) (int, func(), bool) {
-	got, release, err := s.pool.acquire(r.Context(), want)
+// compileV1 compiles the query a v1 request maps to and counts it. A
+// validation failure is answered as a 400 whose field rename spells the v1
+// way (nil keeps the v2 name).
+func (s *Server) compileV1(w http.ResponseWriter, q query.Query, rename func(field string) string) (*query.Plan, bool) {
+	plan, err := query.Compile(q)
 	if err != nil {
-		writeCtxError(w, err)
-		return 0, nil, false
+		var aerr *Error
+		if rename != nil && errors.As(err, &aerr) {
+			aerr.Field = rename(aerr.Field)
+		}
+		writeCompileError(w, err)
+		return nil, false
 	}
-	return got, release, true
+	s.countQuery(plan)
+	return plan, true
+}
+
+// execV1 runs a compiled v1 plan. A context failure is answered 503, any
+// other failure with status failure (400 for the model routes, 500 for the
+// experiment and scenario drivers).
+func (s *Server) execV1(w http.ResponseWriter, r *http.Request, q query.Query, plan *query.Plan, failure int) (*query.ResultSet, bool) {
+	rs, ok, err := s.execute(w, r, q, plan, nil, nil)
+	if !ok {
+		return nil, false
+	}
+	if err != nil {
+		switch cerr := r.Context().Err(); {
+		case cerr != nil:
+			writeCtxError(w, cerr)
+		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+			writeCtxError(w, err)
+		default:
+			writeError(w, failure, err.Error(), "")
+		}
+		return nil, false
+	}
+	return rs, true
+}
+
+// runV1 is compileV1 then execV1.
+func (s *Server) runV1(w http.ResponseWriter, r *http.Request, q query.Query, rename func(string) string, failure int) (*query.ResultSet, bool) {
+	plan, ok := s.compileV1(w, q, rename)
+	if !ok {
+		return nil, false
+	}
+	return s.execV1(w, r, q, plan, failure)
 }
 
 // ---- POST /v1/evaluate ----
@@ -44,36 +84,18 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	got, release, ok := s.acquireWorkers(w, r, req.Params.Workers)
-	if !ok {
-		return
+	q := query.Query{Kind: query.KindEvaluate, Params: &req.Params, Workers: req.Params.Workers}
+	if rs, ok := s.runV1(w, r, q, nil, http.StatusBadRequest); ok {
+		writeJSON(w, http.StatusOK, evaluateResponse{Metrics: *rs.Results[0].Metrics})
 	}
-	defer release()
-	p, aerr := req.Params.Params(got, got)
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
-	}
-	// Route through the batch path so the request context is honored (an
-	// expired deadline or a gone client is observed before work starts).
-	ms, err := core.EvaluateBatch(r.Context(), got, []core.Params{p})
-	if err != nil {
-		if r.Context().Err() != nil {
-			writeCtxError(w, r.Context().Err())
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error(), "params")
-		return
-	}
-	writeJSON(w, http.StatusOK, evaluateResponse{Metrics: metricsWire(ms[0])})
 }
 
 // ---- POST /v1/batch ----
 
 type batchRequest struct {
 	Params []ParamsWire `json:"params"`
-	// Stream switches the response to NDJSON, one line per result as it
-	// completes (also selectable with the ?stream=1 query parameter).
+	// Stream switches the response to NDJSON, one line per result in
+	// index order (also selectable with the ?stream=1 query parameter).
 	Stream bool `json:"stream,omitempty"`
 }
 
@@ -82,8 +104,10 @@ type batchResponse struct {
 }
 
 // batchLine is one NDJSON streaming record. Result lines carry index (the
-// Params element) plus metrics or error, in completion order; the final
-// summary line carries done=true and the count, with no index.
+// Params element) plus metrics, in index order; the final summary line
+// carries done=true and the count, with no index. Error is never set since
+// every element is validated before the stream starts; it stays for wire
+// compatibility.
 type batchLine struct {
 	Index   *int         `json:"index,omitempty"`
 	Metrics *MetricsWire `json:"metrics,omitempty"`
@@ -92,42 +116,28 @@ type batchLine struct {
 	Count   int          `json:"count,omitempty"`
 }
 
+// batchField spells a v2 batch validation field the v1 way: batch[1].params
+// is params[1].params.
+func batchField(field string) string {
+	if rest, ok := strings.CutPrefix(field, "batch"); ok {
+		return "params" + rest
+	}
+	return field
+}
+
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if len(req.Params) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch: params must hold at least one element", "params")
-		return
-	}
-	if len(req.Params) > maxBatchParams {
-		writeError(w, http.StatusBadRequest, "batch too large", "params")
-		return
-	}
-	want := 0
+	q := query.Query{Kind: query.KindBatch, Batch: req.Params}
 	for _, pw := range req.Params {
-		if pw.Workers > want {
-			want = pw.Workers
-		}
+		q.Workers = max(q.Workers, pw.Workers)
 	}
-	got, release, ok := s.acquireWorkers(w, r, want)
+	plan, ok := s.compileV1(w, q, batchField)
 	if !ok {
 		return
 	}
-	defer release()
-
-	ps := make([]core.Params, len(req.Params))
-	for i, pw := range req.Params {
-		p, aerr := pw.Params(got, 1)
-		if aerr != nil {
-			aerr.Field = "params[" + strconv.Itoa(i) + "]." + aerr.Field
-			writeValidationError(w, aerr)
-			return
-		}
-		ps[i] = p
-	}
-
 	stream := req.Stream
 	if v := r.URL.Query().Get("stream"); v != "" {
 		b, err := strconv.ParseBool(v)
@@ -137,72 +147,37 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		stream = b
 	}
-	if stream {
-		s.streamBatch(r.Context(), w, ps, got)
-		return
-	}
-
-	ms, err := core.EvaluateBatch(r.Context(), got, ps)
-	if err != nil {
-		if r.Context().Err() != nil {
-			writeCtxError(w, r.Context().Err())
+	if !stream {
+		rs, ok := s.execV1(w, r, q, plan, http.StatusBadRequest)
+		if !ok {
 			return
 		}
-		writeError(w, http.StatusBadRequest, err.Error(), "params")
+		out := make([]MetricsWire, len(rs.Results))
+		for i := range rs.Results {
+			out[i] = *rs.Results[i].Metrics
+		}
+		writeJSON(w, http.StatusOK, batchResponse{Metrics: out})
 		return
 	}
-	out := make([]MetricsWire, len(ms))
-	for i, m := range ms {
-		out[i] = metricsWire(m)
-	}
-	writeJSON(w, http.StatusOK, batchResponse{Metrics: out})
-}
 
-// streamBatch emits NDJSON, one batchLine per element as its evaluation
-// completes; a summary line with done=true closes the stream. Each line is
-// flushed so clients see results while the batch is still computing.
-func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, ps []core.Params, workers int) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
+	// The stream commits its headers once worker tokens are held and
+	// flushes every line; a failure after that ends it without the done
+	// line.
 	flusher, _ := w.(http.Flusher)
-
-	lines := make(chan batchLine, workers)
-	go func() {
-		defer close(lines)
-		// Evaluation errors travel as per-line records, so the Map
-		// callback only fails on cancellation.
-		_ = engine.Map(ctx, workers, len(ps), func(i int) error {
-			m, err := core.Evaluate(ps[i])
-			idx := i
-			ln := batchLine{Index: &idx}
-			if err != nil {
-				ln.Error = err.Error()
-			} else {
-				mw := metricsWire(m)
-				ln.Metrics = &mw
-			}
-			select {
-			case lines <- ln:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		})
-	}()
-
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	count := 0
-	for ln := range lines {
-		if err := enc.Encode(ln); err != nil {
-			return // client went away; Map sees ctx cancellation
+	_, ok, err := s.execute(w, r, q, plan, func() { startStream(w) }, func(tr query.TaskResult) error {
+		if err := enc.Encode(batchLine{Index: &tr.Index, Metrics: tr.Metrics}); err != nil {
+			return err // client went away; execution cancels the rest
 		}
 		count++
 		if flusher != nil {
 			flusher.Flush()
 		}
-	}
-	if ctx.Err() == nil {
+		return nil
+	})
+	if ok && err == nil {
 		_ = enc.Encode(batchLine{Done: true, Count: count})
 	}
 }
@@ -223,31 +198,10 @@ func (s *Server) handleCaseStudy(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	cfg, aerr := req.Config.Config()
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
+	q := query.Query{Kind: query.KindCaseStudy, Params: &req.Params, Config: req.Config, Workers: req.Params.Workers}
+	if rs, ok := s.runV1(w, r, q, nil, http.StatusBadRequest); ok {
+		writeJSON(w, http.StatusOK, caseStudyResponse{Result: *rs.Results[0].CaseStudy})
 	}
-	got, release, ok := s.acquireWorkers(w, r, req.Params.Workers)
-	if !ok {
-		return
-	}
-	defer release()
-	p, aerr := req.Params.Params(got, 1)
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
-	}
-	res, err := core.RunCaseStudyCtx(r.Context(), p, cfg)
-	if err != nil {
-		if r.Context().Err() != nil {
-			writeCtxError(w, r.Context().Err())
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error(), "")
-		return
-	}
-	writeJSON(w, http.StatusOK, caseStudyResponse{Result: caseStudyResultWire(res)})
 }
 
 // ---- POST /v1/sweep/{pathloss,thresholds,payload} ----
@@ -259,27 +213,12 @@ type pathLossSweepRequest struct {
 	Losses []Float `json:"losses,omitempty"`
 }
 
-type energyCurveWire struct {
-	LevelIndex int     `json:"level_index"`
-	LevelDBm   Float   `json:"level_dbm"`
-	LossDB     []Float `json:"loss_db"`
-	EnergyJ    []Float `json:"energy_j_per_bit"`
-}
-
 type pathLossSweepResponse struct {
-	Curves []energyCurveWire `json:"curves"`
-}
-
-type thresholdWire struct {
-	FromLevel int   `json:"from_level"`
-	ToLevel   int   `json:"to_level"`
-	FromDBm   Float `json:"from_dbm"`
-	ToDBm     Float `json:"to_dbm"`
-	LossDB    Float `json:"loss_db"`
+	Curves []query.EnergyCurveWire `json:"curves"`
 }
 
 type thresholdsResponse struct {
-	Thresholds []thresholdWire `json:"thresholds"`
+	Thresholds []query.ThresholdWire `json:"thresholds"`
 }
 
 type payloadSweepRequest struct {
@@ -289,32 +228,29 @@ type payloadSweepRequest struct {
 	Sizes []int `json:"sizes,omitempty"`
 }
 
-type payloadSweepResponse struct {
-	SizesBytes []int   `json:"sizes_bytes"`
-	EnergyJ    []Float `json:"energy_j_per_bit"`
+// axisField returns the rename that reports every error on the v2 grid
+// axis (losses.values, payloads.values) under the v1 list field.
+func axisField(axis, list string) func(string) string {
+	return func(field string) string {
+		if strings.HasPrefix(field, axis) {
+			return list
+		}
+		return field
+	}
 }
 
-// defaultLossGrid is the case-study population grid, derived from the same
-// scenario constants RunCaseStudy integrates over so the service default
-// cannot drift from the in-process one.
-func defaultLossGrid() []float64 {
-	cfg := core.DefaultCaseStudy()
-	return channel.LossGrid(cfg.MinLossDB, cfg.MaxLossDB, cfg.LossGridPoints)
-}
-
-// defaultPayloadSizes is the Fig. 8 payload grid, shared with the fig8
-// experiment driver.
-func defaultPayloadSizes() []int { return experiments.Fig8Sizes() }
-
-// sweepGrid validates the request grid or falls back to the default.
-func sweepGrid(losses []Float) ([]float64, *Error) {
-	if len(losses) == 0 {
-		return defaultLossGrid(), nil
+// sweepQuery maps a v1 sweep request onto its v2 query. An empty v1 list
+// selects the default grid, which in v2 is a nil axis (an axis with no
+// values is a 400).
+func sweepQuery(kind query.Kind, params *ParamsWire, losses []Float, sizes []int) query.Query {
+	q := query.Query{Kind: kind, Params: params, Workers: params.Workers}
+	if len(losses) > 0 {
+		q.Losses = &query.Axis{Values: losses}
 	}
-	if len(losses) > 100000 {
-		return nil, errf("losses", "grid too large (%d points)", len(losses))
+	if len(sizes) > 0 {
+		q.Payloads = &query.IntAxis{Values: sizes}
 	}
-	return float64s(losses), nil
+	return q
 }
 
 func (s *Server) handleSweepPathLoss(w http.ResponseWriter, r *http.Request) {
@@ -322,40 +258,10 @@ func (s *Server) handleSweepPathLoss(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	losses, aerr := sweepGrid(req.Losses)
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
+	q := sweepQuery(query.KindPathLossSweep, &req.Params, req.Losses, nil)
+	if rs, ok := s.runV1(w, r, q, axisField("losses", "losses"), http.StatusBadRequest); ok {
+		writeJSON(w, http.StatusOK, pathLossSweepResponse{Curves: rs.Results[0].Curves})
 	}
-	got, release, ok := s.acquireWorkers(w, r, req.Params.Workers)
-	if !ok {
-		return
-	}
-	defer release()
-	p, aerr := req.Params.Params(got, 1)
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
-	}
-	curves, err := core.EnergyVsPathLossCtx(r.Context(), p, losses)
-	if err != nil {
-		if r.Context().Err() != nil {
-			writeCtxError(w, r.Context().Err())
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error(), "")
-		return
-	}
-	out := make([]energyCurveWire, len(curves))
-	for i, c := range curves {
-		out[i] = energyCurveWire{
-			LevelIndex: c.LevelIndex,
-			LevelDBm:   Float(c.LevelDBm),
-			LossDB:     floats(c.LossDB),
-			EnergyJ:    floats(c.EnergyJ),
-		}
-	}
-	writeJSON(w, http.StatusOK, pathLossSweepResponse{Curves: out})
 }
 
 func (s *Server) handleSweepThresholds(w http.ResponseWriter, r *http.Request) {
@@ -363,41 +269,18 @@ func (s *Server) handleSweepThresholds(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	losses, aerr := sweepGrid(req.Losses)
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
-	}
-	got, release, ok := s.acquireWorkers(w, r, req.Params.Workers)
+	q := sweepQuery(query.KindThresholds, &req.Params, req.Losses, nil)
+	rs, ok := s.runV1(w, r, q, axisField("losses", "losses"), http.StatusBadRequest)
 	if !ok {
 		return
 	}
-	defer release()
-	p, aerr := req.Params.Params(got, 1)
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
+	// An empty list is omitted from the task line, so a stored result
+	// decodes it as nil; v1 always answers a list.
+	ths := rs.Results[0].Thresholds
+	if ths == nil {
+		ths = []query.ThresholdWire{}
 	}
-	ths, err := core.ThresholdsCtx(r.Context(), p, losses)
-	if err != nil {
-		if r.Context().Err() != nil {
-			writeCtxError(w, r.Context().Err())
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error(), "")
-		return
-	}
-	out := make([]thresholdWire, len(ths))
-	for i, t := range ths {
-		out[i] = thresholdWire{
-			FromLevel: t.FromLevel,
-			ToLevel:   t.ToLevel,
-			FromDBm:   Float(t.FromDBm),
-			ToDBm:     Float(t.ToDBm),
-			LossDB:    Float(t.LossDB),
-		}
-	}
-	writeJSON(w, http.StatusOK, thresholdsResponse{Thresholds: out})
+	writeJSON(w, http.StatusOK, thresholdsResponse{Thresholds: ths})
 }
 
 func (s *Server) handleSweepPayload(w http.ResponseWriter, r *http.Request) {
@@ -405,37 +288,10 @@ func (s *Server) handleSweepPayload(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	sizes := req.Sizes
-	if len(sizes) == 0 {
-		sizes = defaultPayloadSizes()
+	q := sweepQuery(query.KindPayloadSweep, &req.Params, nil, req.Sizes)
+	if rs, ok := s.runV1(w, r, q, axisField("payloads", "sizes"), http.StatusBadRequest); ok {
+		writeJSON(w, http.StatusOK, rs.Results[0].Payload)
 	}
-	if len(sizes) > 100000 {
-		writeError(w, http.StatusBadRequest, "grid too large", "sizes")
-		return
-	}
-	got, release, ok := s.acquireWorkers(w, r, req.Params.Workers)
-	if !ok {
-		return
-	}
-	defer release()
-	p, aerr := req.Params.Params(got, 1)
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
-	}
-	series, err := core.EnergyVsPayloadCtx(r.Context(), p, sizes)
-	if err != nil {
-		if r.Context().Err() != nil {
-			writeCtxError(w, r.Context().Err())
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error(), "")
-		return
-	}
-	writeJSON(w, http.StatusOK, payloadSweepResponse{
-		SizesBytes: sizes,
-		EnergyJ:    floats(series.Y),
-	})
 }
 
 // ---- POST /v1/simulate ----
@@ -469,45 +325,31 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	cfg, aerr := req.Config.Config()
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
+	// v1 always answers the replica shape, so a lone run is one replica.
+	q := query.Query{Kind: query.KindReplicas, Sim: req.Config, Replicas: req.Replicas, Workers: req.Workers}
+	if q.Replicas == 0 {
+		q.Replicas = 1
 	}
-	if req.Replicas < 0 || req.Replicas > 4096 {
-		writeError(w, http.StatusBadRequest, "replicas outside 0..4096", "replicas")
-		return
-	}
-	n := req.Replicas
-	if n < 1 {
-		n = 1
-	}
-	got, release, ok := s.acquireWorkers(w, r, req.Workers)
+	rs, ok := s.runV1(w, r, q, nil, http.StatusBadRequest)
 	if !ok {
 		return
 	}
-	defer release()
-
-	rs, err := netsim.RunReplicas(r.Context(), cfg, n, got)
-	if err != nil {
-		writeCtxError(w, err)
-		return
-	}
+	sum := rs.Summary
 	resp := simulateResponse{
-		Replicas:      rs.Replicas,
-		Seeds:         rs.Seeds,
+		Replicas:      sum.Replicas,
+		Seeds:         sum.Seeds,
 		Results:       make([]SimResultWire, len(rs.Results)),
-		AvgPowerUW:    replicaStatWire(rs.AvgPowerUW),
-		DeliveryRatio: replicaStatWire(rs.DeliveryRatio),
-		PrFail:        replicaStatWire(rs.PrFail),
-		PrCF:          replicaStatWire(rs.PrCF),
-		PrCol:         replicaStatWire(rs.PrCol),
-		NCCA:          replicaStatWire(rs.NCCA),
-		TcontMS:       replicaStatWire(rs.TcontMS),
-		MeanDelayMS:   replicaStatWire(rs.MeanDelayMS),
+		AvgPowerUW:    sum.AvgPowerUW,
+		DeliveryRatio: sum.DeliveryRatio,
+		PrFail:        sum.PrFail,
+		PrCF:          sum.PrCF,
+		PrCol:         sum.PrCol,
+		NCCA:          sum.NCCA,
+		TcontMS:       sum.TcontMS,
+		MeanDelayMS:   sum.MeanDelayMS,
 	}
-	for i, res := range rs.Results {
-		resp.Results[i] = simResultWire(rs.Seeds[i], res)
+	for i := range rs.Results {
+		resp.Results[i] = *rs.Results[i].Sim
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -533,10 +375,8 @@ type experimentRunRequest struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-type experimentRunResponse struct {
-	Name   string         `json:"name"`
-	Tables []*stats.Table `json:"tables"`
-}
+// experimentRunResponse is the experiment task payload as it is.
+type experimentRunResponse = query.ExperimentReportWire
 
 func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
 	all := experiments.All()
@@ -549,8 +389,7 @@ func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	exp, ok := experiments.ByName(name)
-	if !ok {
+	if _, ok := experiments.ByName(name); !ok {
 		writeError(w, http.StatusNotFound, "unknown experiment "+name, "name")
 		return
 	}
@@ -558,27 +397,8 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	got, release, okW := s.acquireWorkers(w, r, req.Workers)
-	if !okW {
-		return
+	q := query.Query{Kind: query.KindExperiment, Experiment: name, Quick: req.Quick, Seed: req.Seed, Workers: req.Workers}
+	if rs, ok := s.runV1(w, r, q, nil, http.StatusInternalServerError); ok {
+		writeJSON(w, http.StatusOK, rs.Results[0].Experiment)
 	}
-	defer release()
-
-	opt := experiments.DefaultOptions()
-	opt.Quick = req.Quick
-	if req.Seed != nil {
-		opt.Seed = *req.Seed
-	}
-	opt.Workers = got
-	opt.Context = r.Context()
-	tables, err := exp.Run(opt)
-	if err != nil {
-		if r.Context().Err() != nil {
-			writeCtxError(w, r.Context().Err())
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err.Error(), "")
-		return
-	}
-	writeJSON(w, http.StatusOK, experimentRunResponse{Name: name, Tables: tables})
 }

@@ -17,9 +17,9 @@ import (
 // The non-streaming form answers with the byte-stable ResultSet encoding;
 // the streaming form emits NDJSON — one TaskResult per line in plan order,
 // then one summary line — with every line flushed as it completes.
-// Backpressure is the same worker-token limiter the v1 routes share: a
-// query acquires tokens before computing, so any number of v2 clients
-// shares the server budget.
+// Backpressure is the worker-token limiter every route shares: a query
+// acquires tokens before computing, so any number of clients shares the
+// server budget.
 
 // decodeQuery parses and compiles the request body; errors are rendered as
 // structured 400s.
@@ -30,26 +30,31 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (query.Quer
 	}
 	plan, err := query.Compile(q)
 	if err != nil {
-		var aerr *Error
-		if errors.As(err, &aerr) {
-			writeValidationError(w, aerr)
-		} else {
-			writeError(w, http.StatusBadRequest, err.Error(), "")
-		}
+		writeCompileError(w, err)
 		return query.Query{}, nil, false
 	}
 	return q, plan, true
 }
 
-// countQuery records an accepted (compiled) v2 query in the per-kind and
-// task-volume counters.
+// writeCompileError renders a query.Compile failure as a structured 400.
+func writeCompileError(w http.ResponseWriter, err error) {
+	var aerr *Error
+	if errors.As(err, &aerr) {
+		writeValidationError(w, aerr)
+	} else {
+		writeError(w, http.StatusBadRequest, err.Error(), "")
+	}
+}
+
+// countQuery records an accepted (compiled) query — v1 or v2 — in the
+// per-kind and task-volume counters.
 func (s *Server) countQuery(plan *query.Plan) {
 	s.queryKinds.With(string(plan.Kind)).Inc()
 	s.queryTasks.Add(uint64(plan.NumTasks()))
 }
 
 // queryContext applies the server's per-query deadline (Config.QueryTimeout)
-// to a v2 query execution; the query's own timeout_ms, when tighter, is
+// to a query execution; a v2 query's own timeout_ms, when tighter, is
 // applied underneath by the plan itself.
 func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelFunc) {
 	if s.cfg.QueryTimeout > 0 {
@@ -91,6 +96,39 @@ func (s *Server) execQuery(ctx context.Context, q query.Query, plan *query.Plan,
 	return plan.Execute(ctx, workers, yield)
 }
 
+// acquireWorkers is the request prologue: block (under the request context)
+// for a share of the server worker pool.
+func (s *Server) acquireWorkers(w http.ResponseWriter, r *http.Request, want int) (int, func(), bool) {
+	got, release, err := s.pool.acquire(r.Context(), want)
+	if err != nil {
+		writeCtxError(w, err)
+		return 0, nil, false
+	}
+	return got, release, true
+}
+
+// execute is the one execution path of every compute route, v1 and v2: it
+// attaches the per-task result store, takes worker tokens under the request
+// context, applies Config.QueryTimeout and runs the plan through execQuery.
+// started, when non-nil, runs once the tokens are held and before any task,
+// so a stream can commit its headers. ok is false when the token
+// acquisition failed; that 503 is already written.
+func (s *Server) execute(w http.ResponseWriter, r *http.Request, q query.Query, plan *query.Plan, started func(), yield func(query.TaskResult) error) (rs *query.ResultSet, ok bool, err error) {
+	s.attachStore(q, plan)
+	got, release, ok := s.acquireWorkers(w, r, q.Workers)
+	if !ok {
+		return nil, false, nil
+	}
+	defer release()
+	if started != nil {
+		started()
+	}
+	ctx, cancel := s.queryContext(r)
+	defer cancel()
+	rs, err = s.execQuery(ctx, q, plan, got, yield)
+	return rs, true, err
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q, plan, ok := s.decodeQuery(w, r)
 	if !ok {
@@ -109,16 +147,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.attachStore(q, plan)
-	got, release, ok := s.acquireWorkers(w, r, q.Workers)
+	rs, ok, err := s.execute(w, r, q, plan, nil, nil)
 	if !ok {
 		return
 	}
-	defer release()
-
-	ctx, cancel := s.queryContext(r)
-	defer cancel()
-	rs, err := s.execQuery(ctx, q, plan, got, nil)
 	if err != nil {
 		s.writeQueryError(w, r, err)
 		return
@@ -152,8 +184,7 @@ func (s *Server) writeStreamFromResult(w http.ResponseWriter, body []byte) bool 
 	if err := json.Unmarshal(body, &stored); err != nil {
 		return false
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
+	startStream(w)
 	flusher, _ := w.(http.Flusher)
 	var buf []byte
 	for _, line := range stored.Results {
@@ -184,25 +215,14 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Attaching the per-task store is also what makes interrupted streams
-	// resumable: every task computed before a disconnect was persisted, so
-	// the retried stream reuses them and recomputes only the remainder.
-	s.attachStore(q, plan)
-	got, release, ok := s.acquireWorkers(w, r, q.Workers)
-	if !ok {
-		return
-	}
-	defer release()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
+	// The per-task store execute attaches is also what makes interrupted
+	// streams resumable: every task computed before a disconnect was
+	// persisted, so the retried stream reuses them and recomputes only the
+	// remainder.
 	flusher, _ := w.(http.Flusher)
-
-	ctx, cancel := s.queryContext(r)
-	defer cancel()
 	count := 0
 	var encodeErr error
-	rs, err := s.execQuery(ctx, q, plan, got, func(tr query.TaskResult) error {
+	rs, ok, err := s.execute(w, r, q, plan, func() { startStream(w) }, func(tr query.TaskResult) error {
 		// The line is the one the plan's worker already encoded for the
 		// task store; EncodeTaskResult only encodes when there is none.
 		line, err := query.EncodeTaskResult(tr)
@@ -219,6 +239,9 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	})
+	if !ok {
+		return
+	}
 	if err != nil {
 		// Headers are gone; a structured terminal error line (done stays
 		// false) tells the client why the stream ended early, and its
@@ -240,6 +263,12 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	_, _ = w.Write(query.AppendStreamDone(nil, count, rs))
+}
+
+// startStream commits the 200 headers of an NDJSON response.
+func startStream(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
 }
 
 // queryStreamErrorLine is the terminal NDJSON record of a failed stream:

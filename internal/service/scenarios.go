@@ -3,6 +3,7 @@ package service
 import (
 	"net/http"
 
+	"dense802154/internal/query"
 	"dense802154/internal/scenario"
 )
 
@@ -42,15 +43,9 @@ type scenarioRunRequest struct {
 	Diff bool `json:"diff,omitempty"`
 }
 
-type scenarioRunResponse struct {
-	Result *scenario.Result     `json:"result"`
-	Diff   *scenario.DiffReport `json:"diff,omitempty"`
-}
-
 func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	sc, ok := scenario.ByName(name)
-	if !ok {
+	if _, ok := scenario.ByName(name); !ok {
 		writeError(w, http.StatusNotFound, "unknown scenario "+name, "name")
 		return
 	}
@@ -58,29 +53,8 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	got, release, okW := s.acquireWorkers(w, r, req.Workers)
-	if !okW {
-		return
+	q := query.Query{Kind: query.KindScenario, Scenario: name, Diff: req.Diff, Workers: req.Workers}
+	if rs, ok := s.runV1(w, r, q, nil, http.StatusInternalServerError); ok {
+		writeJSON(w, http.StatusOK, rs.Results[0].Scenario)
 	}
-	defer release()
-
-	res, err := scenario.Run(r.Context(), sc, got)
-	if err != nil {
-		if r.Context().Err() != nil {
-			writeCtxError(w, r.Context().Err())
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err.Error(), "")
-		return
-	}
-	resp := scenarioRunResponse{Result: res}
-	if req.Diff {
-		rep, err := scenario.Diff(res)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error(), "")
-			return
-		}
-		resp.Diff = &rep
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

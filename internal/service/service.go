@@ -30,16 +30,25 @@
 //	GET  /v2/store/stats             result-store counters and tier occupancy
 //
 // The v2 routes speak the unified query type of internal/query: one
-// versioned request covers everything the per-endpoint v1 routes do (see
-// the v1 → v2 wire mapping in codec.go), and new parameter axes become
-// Query fields instead of new endpoints. The v1 routes are maintained but
-// frozen.
+// versioned request covers everything the per-endpoint v1 routes do, and
+// new parameter axes become Query fields instead of new endpoints. The v1
+// routes are maintained but frozen, and they are adapters over the same
+// plan: each compute route maps its body onto a v2 Query (the v1 → v2 wire
+// mapping in codec.go), compiles it, runs it on the execution path
+// /v2/query uses and projects the ResultSet back into its v1 response
+// bytes. So v1 requests count in wsn_query_total and
+// wsn_query_tasks_total, share per-task store entries with their v2 twins,
+// run through the Distributor and are bounded by QueryTimeout. Only the
+// whole-query byte cache is v2's alone. /v1/batch?stream=1 emits its lines
+// in index order, as /v2/query/stream does. The GET catalog routes
+// (/v1/experiments, /v1/scenarios, /v1/scenarios/{name}) compute nothing.
 //
 // /v2/tasks is the worker half of distributed execution (internal/dist): a
 // coordinator posts a query plus an index range and streams back the
 // corresponding TaskResults in range order. When Config.Distributor is set,
-// the /v2/query routes run through it instead of executing locally, so the
-// same binary serves as coordinator or worker depending on configuration.
+// every compute route (v1 and /v2/query) runs through it instead of
+// executing locally, so the same binary serves as coordinator or worker
+// depending on configuration.
 //
 // Every route handler and metrics collector runs under panic recovery: a
 // panic is logged with its stack, counted in wsn_http_panics_total, and
@@ -61,8 +70,8 @@
 //	wsn_http_requests_in_flight                gauge      requests currently executing
 //	wsn_http_errors_total{route,class}         counter    non-2xx responses, class 4xx or 5xx
 //	wsn_http_panics_total                      counter    handler/collector panics recovered
-//	wsn_query_total{kind}                      counter    v2 queries by query kind
-//	wsn_query_tasks_total                      counter    plan tasks scheduled by v2 queries
+//	wsn_query_total{kind}                      counter    queries (v1 and v2) by query kind
+//	wsn_query_tasks_total                      counter    plan tasks scheduled by queries
 //	wsn_worker_pool_capacity                   gauge      worker-token budget
 //	wsn_worker_pool_in_use                     gauge      tokens currently held
 //	wsn_worker_acquires_total                  counter    token-pool acquisitions
@@ -151,20 +160,21 @@ type Config struct {
 	// Log is the legacy plain logger; when Logger is nil and Log is set,
 	// requests are logged through a text slog handler on Log's writer.
 	Log *log.Logger
-	// Distributor, when set, executes /v2/query and /v2/query/stream plans
-	// (a dist.Coordinator shards them across a worker fleet and merges the
-	// results byte-identically to local execution). Nil runs every plan
-	// locally.
+	// Distributor, when set, executes the plans of every compute route —
+	// /v2/query, /v2/query/stream and the v1 adapters (a dist.Coordinator
+	// shards them across a worker fleet and merges the results
+	// byte-identically to local execution). Nil runs every plan locally.
 	Distributor Distributor
-	// QueryTimeout is the per-query execution deadline of the v2 query
-	// routes (0 = none). Unlike RequestTimeout's 503, an exceeded query
-	// deadline is answered with a structured 504; a query's own timeout_ms,
-	// when tighter, wins.
+	// QueryTimeout is the per-query execution deadline of every compute
+	// route (0 = none). On the v2 query routes an exceeded query deadline is
+	// answered with a structured 504, unlike RequestTimeout's 503, and a
+	// query's own timeout_ms, when tighter, wins; the v1 routes answer it
+	// 503, as they answer every context failure.
 	QueryTimeout time.Duration
-	// Store, when set, is the content-addressed result store consulted by
-	// the v2 routes: /v2/query and /v2/query/stream answer repeated
-	// (untraced) queries from stored whole-query bytes in O(1), every
-	// executed plan reuses and persists per-task results, and /v2/tasks
+	// Store, when set, is the content-addressed result store: /v2/query and
+	// /v2/query/stream answer repeated (untraced) queries from stored
+	// whole-query bytes in O(1), every executed plan — the v1 routes'
+	// included — reuses and persists per-task results, and /v2/tasks
 	// serves stored tasks without recomputing — which makes a worker fleet a
 	// shared shard cache. Cached bytes equal freshly computed bytes always;
 	// the store changes cost, never results.
@@ -177,7 +187,7 @@ type Config struct {
 	FaultExitAfterTasks int
 }
 
-// Distributor executes a compiled plan on behalf of the v2 query routes —
+// Distributor executes a compiled plan on behalf of the compute routes —
 // the seam where distributed execution plugs in. dist.Coordinator
 // implements it; the contract is that of query.Plan.Execute: yield receives
 // every TaskResult in plan order and the returned ResultSet encodes to the
@@ -329,8 +339,8 @@ func (s *Server) registerMetrics() {
 	s.httpInFlight = r.Gauge("wsn_http_requests_in_flight", "Requests currently executing.")
 	s.httpErrors = r.CounterVec("wsn_http_errors_total", "Non-2xx responses by route pattern and class (4xx or 5xx).", "route", "class")
 	s.httpPanics = r.Counter("wsn_http_panics_total", "Handler or collector panics recovered by the server.")
-	s.queryKinds = r.CounterVec("wsn_query_total", "v2 queries accepted, by query kind.", "kind")
-	s.queryTasks = r.Counter("wsn_query_tasks_total", "Plan tasks scheduled by accepted v2 queries.")
+	s.queryKinds = r.CounterVec("wsn_query_total", "Queries accepted on the v1 and v2 routes, by query kind.", "kind")
+	s.queryTasks = r.Counter("wsn_query_tasks_total", "Plan tasks scheduled by accepted queries.")
 
 	r.GaugeFunc("wsn_worker_pool_capacity", "Worker-token budget shared by all requests.",
 		func() float64 { return float64(s.pool.capacity) })

@@ -252,6 +252,8 @@ func TestMalformedPayloadsAre400s(t *testing.T) {
 		{"bad replicas", "/v1/simulate", `{"replicas":99999}`, http.StatusBadRequest, "replicas"},
 		{"bad stream flag", "/v1/batch?stream=maybe", `{"params":[{}]}`, http.StatusBadRequest, "stream"},
 		{"unknown experiment", "/v1/experiments/fig99", `{}`, http.StatusNotFound, "name"},
+		{"NaN loss", "/v1/sweep/pathloss", `{"losses":["NaN",70]}`, http.StatusBadRequest, "losses"},
+		{"infinite loss", "/v1/sweep/thresholds", `{"losses":["+Inf"]}`, http.StatusBadRequest, "losses"},
 	}
 	for _, tc := range cases {
 		status, body := postJSON(t, ts.URL+tc.path, tc.body)

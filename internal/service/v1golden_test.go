@@ -55,15 +55,13 @@ var v1GoldenCases = []struct {
 // status line, content type and body of every case must match the
 // committed golden. The other v1 tests compare decoded values; this one
 // catches a reordered field, a changed float rendering or a moved error
-// message. One server worker keeps the streamed batch lines in index order.
+// message.
 func TestV1ResponseGoldens(t *testing.T) {
 	srv := NewServer(Config{Workers: 1})
 	for _, tc := range v1GoldenCases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := httptest.NewRecorder()
-			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
-			got := append([]byte(fmt.Sprintf("%d %s\n", rec.Code, rec.Header().Get("Content-Type"))), rec.Body.Bytes()...)
-			path := filepath.Join("testdata", "v1", tc.name+".golden")
+			got := v1Response(srv, tc.path, tc.body)
+			path := v1GoldenPath(tc.name)
 			if *updateV1 {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
@@ -82,4 +80,17 @@ func TestV1ResponseGoldens(t *testing.T) {
 			}
 		})
 	}
+}
+
+// v1GoldenPath is the committed golden file of one v1GoldenCases entry.
+func v1GoldenPath(name string) string {
+	return filepath.Join("testdata", "v1", name+".golden")
+}
+
+// v1Response serves one POST in process and renders it in golden form: a
+// "status content-type" line, then the body bytes.
+func v1Response(srv http.Handler, path, body string) []byte {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	return append([]byte(fmt.Sprintf("%d %s\n", rec.Code, rec.Header().Get("Content-Type"))), rec.Body.Bytes()...)
 }
