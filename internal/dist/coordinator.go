@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"time"
 
-	"dense802154/internal/engine"
 	"dense802154/internal/query"
 )
 
@@ -26,7 +25,10 @@ type Options struct {
 	// into about two shards per admitted worker).
 	ShardSize int
 	// MaxAttempts bounds dispatch attempts per index range before the range
-	// falls back to local execution (0 ⇒ 4).
+	// falls back to local execution (0 ⇒ 4). A range also falls back when
+	// no worker is admitted. Local fallback runs one range at a time on the
+	// Distribute call's local worker grant, so it never computes more tasks
+	// at once than that grant allows.
 	MaxAttempts int
 	// RetryBase/RetryCap shape the exponential backoff between attempts of
 	// one range: attempt k waits ~RetryBase·2^(k-1), jittered, capped at
@@ -187,6 +189,9 @@ type distRun struct {
 	rng      *rand.Rand
 	ewma     float64 // EWMA of observed per-task wall times, ms
 	fellBack bool
+	// localBusy is set while a local flight runs. At most one runs at a
+	// time, on the local worker grant, so local work never exceeds it.
+	localBusy bool
 }
 
 // Distribute executes plan, sharding it across the fleet when it is
@@ -196,7 +201,8 @@ type distRun struct {
 // yield error cancels the query. Worker failures of every kind — dispatch
 // errors, mid-stream disconnects, timeouts, death — are retried with
 // exponential backoff and re-dispatched elsewhere; with the whole fleet
-// lost, execution degrades to local and still completes.
+// lost or never admitted, the remaining ranges run locally, one at a time,
+// and the query still completes.
 func (c *Coordinator) Distribute(ctx context.Context, q query.Query, plan *query.Plan, localWorkers int, yield func(query.TaskResult) error) (*query.ResultSet, error) {
 	if !plan.Shardable() || len(c.opts.Workers) == 0 {
 		return plan.Execute(ctx, localWorkers, yield)
@@ -244,10 +250,10 @@ func (r *distRun) run() (*query.ResultSet, error) {
 	if err := r.prefill(); err != nil {
 		return nil, err
 	}
+	QueriesTotal.Inc()
 	if r.haveCount == r.n {
 		// Every task was already in the store: the query completes without
 		// probing a single worker.
-		QueriesTotal.Inc()
 		return r.finish()
 	}
 	r.admit()
@@ -260,35 +266,16 @@ func (r *distRun) run() (*query.ResultSet, error) {
 			}
 		}
 	}()
-	if r.readyCount() == 0 {
-		// No worker admitted: degrade to plain local execution. Tasks the
-		// prefill already yielded must not be yielded twice, so the local
-		// pass skips that prefix (plan order matches index order here).
-		LocalFallbackTotal.Inc()
-		r.c.opts.Logger.Warn("dist: no workers ready, running locally", "fleet", len(r.c.opts.Workers))
-		remaining := r.n - r.haveCount
-		yield := r.yield
-		if yield != nil && r.nextYield > 0 {
-			already := r.nextYield
-			yield = func(tr query.TaskResult) error {
-				if tr.Index < already {
-					return nil
-				}
-				return r.yield(tr)
-			}
-		}
-		rs, err := r.plan.Execute(r.ctx, r.local, yield)
-		if err == nil {
-			TasksLocalTotal.Add(uint64(remaining))
-		}
-		return rs, err
-	}
-	QueriesTotal.Inc()
 
+	// With nobody admitted, each hole is one span: schedule runs it as a
+	// local flight, as it does every range the fleet cannot take.
 	shard := r.c.opts.ShardSize
 	if shard <= 0 {
-		remaining := r.n - r.haveCount
-		shard = max(1, (remaining+2*r.readyCount()-1)/(2*r.readyCount()))
+		shard = r.n
+		if ready := r.readyCount(); ready > 0 {
+			remaining := r.n - r.haveCount
+			shard = max(1, (remaining+2*ready-1)/(2*ready))
+		}
 	}
 	// Pending spans cover the maximal runs the prefill left unfilled; a
 	// warm store dispatches only the holes.
@@ -387,20 +374,7 @@ func (r *distRun) finish() (*query.ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.plan.Trace {
-		labels := r.plan.Labels()
-		spans := make([]query.TaskSpanWire, r.n)
-		for i := range spans {
-			spans[i] = query.TaskSpanWire{Index: i, Label: labels[i], WallMS: query.Float(r.walls[i])}
-		}
-		rs.Trace = &query.PlanTraceWire{
-			Kind:    r.plan.Kind,
-			Workers: engine.ResolveWorkers(r.local),
-			Tasks:   r.n,
-			WallMS:  query.Float(time.Since(r.start).Seconds() * 1e3),
-			Spans:   spans,
-		}
-	}
+	rs.Trace = r.plan.NewTrace(r.local, r.start, r.walls)
 	return rs, nil
 }
 
@@ -478,8 +452,8 @@ func (r *distRun) trim(s span) span {
 
 // schedule is the dispatch pass run after every event: each pending span
 // goes to an idle worker, to local execution when its attempts are
-// exhausted or the fleet is lost, or stays pending until its backoff
-// expires.
+// exhausted or the fleet is lost (one local flight at a time; the others
+// wait for it), or stays pending until its backoff expires.
 func (r *distRun) schedule() {
 	now := time.Now()
 	var still []span
@@ -490,6 +464,10 @@ func (r *distRun) schedule() {
 		}
 		switch {
 		case s.attempts >= r.c.opts.MaxAttempts || r.readyCount() == 0:
+			if r.localBusy {
+				still = append(still, s)
+				continue
+			}
 			if !r.fellBack {
 				r.fellBack = true
 				LocalFallbackTotal.Inc()
@@ -562,6 +540,7 @@ func (r *distRun) launchLocal(s span) {
 	r.nextFID++
 	fctx, fcancel := context.WithCancel(r.ctx)
 	r.flights[fid] = &flight{id: fid, worker: "", from: s.from, to: s.to, next: s.from, cancel: fcancel, lastMove: time.Now()}
+	r.localBusy = true
 	go func() {
 		defer fcancel()
 		err := r.plan.ExecuteRange(fctx, r.local, s.from, s.to, func(tr query.TaskResult, wallMS float64) error {
@@ -643,6 +622,7 @@ func (r *distRun) onEnd(m msg) error {
 	}
 	if f.worker == "" {
 		delete(r.flights, m.fid)
+		r.localBusy = false
 		if m.err != nil {
 			if r.ctx.Err() != nil {
 				return r.ctx.Err()

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -380,5 +381,88 @@ func TestDistributeWorkerReadmission(t *testing.T) {
 	}()
 	if got := distribute(t, c, q); !bytes.Equal(got, localBytes(t, q)) {
 		t.Fatal("bytes deviate across eviction and readmission")
+	}
+}
+
+// peakStore is a dist.Store whose task lookups always miss after a short
+// sleep and record the peak number running at once. Local flights consult
+// the plan's store once per task, so the peak bounds how many tasks the
+// coordinator computes locally at the same time.
+type peakStore struct {
+	mu        sync.Mutex
+	cur, peak int
+}
+
+func (s *peakStore) Tasks(query.Query) query.TaskStore { return s }
+
+func (s *peakStore) GetTask(int) ([]byte, bool) {
+	s.mu.Lock()
+	s.cur++
+	s.peak = max(s.peak, s.cur)
+	s.mu.Unlock()
+	time.Sleep(2 * time.Millisecond)
+	s.mu.Lock()
+	s.cur--
+	s.mu.Unlock()
+	return nil, false
+}
+
+func (s *peakStore) PutTask(int, []byte) {}
+
+func TestDistributeLocalFallbackStaysWithinGrant(t *testing.T) {
+	// Both workers admit but fail every dispatch, so every range ends up
+	// local. Local flights run one at a time on the 2-worker grant: never
+	// more than 2 tasks at once, however many ranges are pending.
+	urls := fleet(t, 2)
+	ft := dist.NewFaultTransport(&dist.HTTPTransport{},
+		dist.Fault{Worker: urls[0], AtIndex: -1, Kind: dist.FaultError, Times: 100},
+		dist.Fault{Worker: urls[1], AtIndex: -1, Kind: dist.FaultError, Times: 100})
+	q := gridQuery()
+	q.Losses = &query.Axis{Values: []query.Float{52, 56, 60, 64, 68, 72, 76, 80}}
+	q.Payloads = &query.IntAxis{Values: []int{20, 40, 60, 80, 100, 120}}
+	st := &peakStore{}
+	opts := fastOpts(urls, ft)
+	opts.Store = st
+	if got := distribute(t, dist.New(opts), q); !bytes.Equal(got, localBytes(t, q)) {
+		t.Fatal("bytes deviate after local fallback")
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.peak > 2 {
+		t.Fatalf("local fallback ran %d tasks at once on a grant of 2", st.peak)
+	}
+}
+
+func TestDistributeTraceCarriesSeeds(t *testing.T) {
+	// A traced replicas query must report the same per-task seeds whether
+	// it ran locally or across the fleet.
+	q := replicasQuery()
+	q.Trace = true
+	local, err := query.Run(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := query.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := dist.New(fastOpts(fleet(t, 2), nil)).Distribute(context.Background(), q, plan, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Trace == nil || local.Trace == nil {
+		t.Fatal("traced query carries no trace")
+	}
+	if len(rs.Trace.Spans) != len(local.Trace.Spans) {
+		t.Fatalf("%d distributed spans, %d local", len(rs.Trace.Spans), len(local.Trace.Spans))
+	}
+	for i, want := range local.Trace.Spans {
+		got := rs.Trace.Spans[i]
+		if want.Seed == nil {
+			t.Fatalf("local span %d carries no seed", i)
+		}
+		if got.Seed == nil || *got.Seed != *want.Seed {
+			t.Fatalf("span %d: distributed seed %v, local seed %d", i, got.Seed, *want.Seed)
+		}
 	}
 }

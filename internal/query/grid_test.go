@@ -200,6 +200,8 @@ func TestExecuteRangeAssembleBitIdentity(t *testing.T) {
 		"grid": {Kind: KindGrid, Params: quickParams(),
 			Losses: &Axis{Values: []Float{55, 70, 85}}, Payloads: &IntAxis{Values: []int{20, 100}}},
 		"replicas": {Kind: KindReplicas, Sim: &SimConfigWire{Nodes: intPtr(10), Superframes: intPtr(4)}, Replicas: 5},
+		"batch":    {Kind: KindBatch, Batch: []ParamsWire{*quickParams(), {PayloadBytes: intPtr(40)}, {PayloadBytes: intPtr(110)}}},
+		"lifetime": lifetimeTestQuery(),
 	}
 	for name, q := range queries {
 		t.Run(name, func(t *testing.T) {

@@ -253,29 +253,24 @@ func (q *Query) buildLifetime(workers int) (*exec, *Error) {
 			return TaskResult{Lifetime: &rw, value: r}, nil
 		}}
 	}
-	return &exec{tasks: tasks, assemble: func(rs *ResultSet) {
-		results := make([]lifetime.Result, len(rs.Results))
-		for i := range rs.Results {
-			results[i] = rs.Results[i].value.(lifetime.Result)
-		}
-		set := lifetime.Merge(lcfg, seeds, results)
-		summary := WireLifetimeSummary(set)
-		rs.LifetimeSummary = &summary
-		rs.value = set
-	}, assembleWire: func(rs *ResultSet) *Error {
+	return &exec{tasks: tasks, assemble: func(rs *ResultSet) *Error {
 		// The wire payloads carry the merged observables in exact seconds,
-		// so the summary recomputed here is bit-identical to the in-process
-		// assemble above.
-		results := make([]lifetime.Result, len(rs.Results))
-		for i := range rs.Results {
-			if rs.Results[i].Lifetime == nil {
-				return errf("results", "task %d carries no lifetime payload", i)
+		// so values and wire payloads merge bit-identically.
+		results, all, aerr := taskValues(rs, "lifetime", func(tr *TaskResult) (lifetime.Result, bool) {
+			if tr.Lifetime == nil {
+				return lifetime.Result{}, false
 			}
-			results[i] = rs.Results[i].Lifetime.Result()
+			return tr.Lifetime.Result(), true
+		})
+		if aerr != nil {
+			return aerr
 		}
 		set := lifetime.Merge(lcfg, seeds, results)
 		summary := WireLifetimeSummary(set)
 		rs.LifetimeSummary = &summary
+		if all {
+			rs.value = set
+		}
 		return nil
 	}}, nil
 }

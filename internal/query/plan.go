@@ -185,22 +185,23 @@ type task struct {
 	run   func(ctx context.Context) (TaskResult, error)
 }
 
-// exec is one materialized execution: the tasks plus the optional assembly
-// step that derives the merged summary from the per-task results.
-// assemble consumes the in-process task values; assembleWire recomputes the
-// same summary from the wire payloads alone, for results that crossed a
-// machine boundary (Plan.Assemble) and therefore carry no values.
+// exec is one materialized execution: the tasks plus the optional per-kind
+// assembly step that derives the merged summary from the per-task results.
+// assemble reads each task's in-process value where it has one and its wire
+// payload otherwise (a store hit, or a shard that crossed a machine
+// boundary), so one step serves Execute and Assemble alike.
 type exec struct {
-	tasks        []task
-	assemble     func(rs *ResultSet)
-	assembleWire func(rs *ResultSet) *Error
+	tasks    []task
+	assemble func(rs *ResultSet) *Error
 }
 
 // Plan is a compiled Query: a validated, deterministic list of engine
 // tasks. Compile materializes the declarative specs once to validate them;
-// Execute re-materializes with the granted worker count (worker counts
-// never change computed bytes — only how fast they arrive) and runs the
-// tasks on the shared engine pool.
+// Execute, ExecuteRange and Assemble re-materialize with the granted worker
+// count (worker counts never change computed bytes — only how fast they
+// arrive). Execute and ExecuteRange run the tasks on the shared engine pool
+// through one ordered runner; Execute and Assemble finish through one
+// per-kind assembly step.
 type Plan struct {
 	// Kind echoes the query kind.
 	Kind Kind
@@ -215,21 +216,21 @@ type Plan struct {
 	// Store, when set, is the per-task result cache of this plan's query
 	// (store.Store.Tasks keys one to the query's content hash): Execute and
 	// ExecuteRange consult it before computing a task and store what they
-	// compute. Stored results carry wire payloads only, so a store-enabled
-	// plan assembles through the wire path — bit-identical to the in-process
-	// one by the exact-round-trip float contract. Attach it between Compile
-	// and Execute; it never changes result bytes, only whether they are
-	// recomputed.
+	// compute. Stored results carry wire payloads only, so the assembly step
+	// reads those tasks from the wire — bit-identical to their in-process
+	// values by the exact-round-trip float contract. Attach it between
+	// Compile and Execute; it never changes result bytes, only whether they
+	// are recomputed.
 	Store TaskStore
 
-	numTasks int
-	labels   []string
-	build    func(workers int) (*exec, *Error)
+	labels []string
+	seeds  []*int64 // per-task seeds in plan order (nil entries: no seed)
+	build  func(workers int) (*exec, *Error)
 }
 
 // NumTasks reports how many tasks the plan schedules (batch elements,
 // simulation replicas, or 1 for single-result kinds).
-func (p *Plan) NumTasks() int { return p.numTasks }
+func (p *Plan) NumTasks() int { return len(p.labels) }
 
 // Labels lists the task labels in plan order.
 func (p *Plan) Labels() []string { return append([]string(nil), p.labels...) }
@@ -281,11 +282,13 @@ func Compile(q Query) (*Plan, error) {
 	}
 	p := &Plan{
 		Kind: q.Kind, Workers: q.Workers, Trace: q.Trace,
-		Timeout:  timeout,
-		numTasks: len(ex.tasks), build: build,
+		Timeout: timeout,
+		build:   build,
+		labels:  make([]string, len(ex.tasks)),
+		seeds:   make([]*int64, len(ex.tasks)),
 	}
-	for _, t := range ex.tasks {
-		p.labels = append(p.labels, t.label)
+	for i, t := range ex.tasks {
+		p.labels[i], p.seeds[i] = t.label, t.seed
 	}
 	return p, nil
 }
@@ -298,117 +301,24 @@ func Compile(q Query) (*Plan, error) {
 // returned. A canceled ctx stops the plan promptly with ctx.Err().
 func (p *Plan) Execute(ctx context.Context, workers int, yield func(TaskResult) error) (*ResultSet, error) {
 	workers = engine.ResolveWorkers(workers)
-	if p.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.Timeout)
-		defer cancel()
-	}
 	ex, aerr := p.build(workers)
 	if aerr != nil {
 		return nil, aerr
 	}
-	n := len(ex.tasks)
-	results := make([]TaskResult, n)
-	var spans []TaskSpanWire
-	var planStart time.Time
-	if p.Trace {
-		spans = make([]TaskSpanWire, n)
-		planStart = time.Now()
+	start := time.Now()
+	var emit func(TaskResult, float64) error
+	if yield != nil {
+		emit = func(tr TaskResult, _ float64) error { return yield(tr) }
 	}
-	runTask := func(ctx context.Context, i int) error {
-		var taskStart time.Time
-		if spans != nil {
-			taskStart = time.Now()
-		}
-		r, hit := p.taskFromStore(i)
-		var err error
-		if !hit {
-			r, err = ex.tasks[i].run(ctx)
-		}
-		if spans != nil {
-			spans[i] = TaskSpanWire{
-				Index:  i,
-				Label:  ex.tasks[i].label,
-				Seed:   ex.tasks[i].seed,
-				WallMS: Float(time.Since(taskStart).Seconds() * 1e3),
-			}
-		}
-		if err != nil {
-			return err
-		}
-		r.Index = i
-		r.Label = ex.tasks[i].label
-		p.encodeTask(&r, hit)
-		results[i] = r
-		return nil
+	results, walls, err := p.run(ctx, ex, workers, 0, len(ex.tasks), emit)
+	if err != nil {
+		return nil, err
 	}
-
-	if yield == nil {
-		if err := engine.Map(ctx, workers, n, func(i int) error { return runTask(ctx, i) }); err != nil {
-			return nil, err
-		}
-	} else {
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		done := make(chan int, n)
-		var mapErr error
-		go func() {
-			defer close(done)
-			mapErr = engine.Map(ctx, workers, n, func(i int) error {
-				if err := runTask(ctx, i); err != nil {
-					return err
-				}
-				select {
-				case done <- i:
-					return nil
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			})
-		}()
-		var yieldErr error
-		ready := make([]bool, n)
-		next := 0
-		for i := range done {
-			ready[i] = true
-			for next < n && ready[next] {
-				if yieldErr == nil {
-					if err := yield(results[next]); err != nil {
-						yieldErr = err
-						cancel()
-					}
-				}
-				next++
-			}
-		}
-		if yieldErr != nil {
-			return nil, yieldErr
-		}
-		if mapErr != nil {
-			return nil, mapErr
-		}
+	rs, err := assemble(p.Kind, ex, results)
+	if err != nil {
+		return nil, err
 	}
-
-	rs := &ResultSet{Version: Version, Kind: p.Kind, Results: results}
-	if p.storeEnabled() && ex.assembleWire != nil {
-		// Store hits carry wire payloads only (no in-process value), so the
-		// summary is recomputed from the wire — bit-identical by the
-		// exact-round-trip contract Plan.Assemble already relies on.
-		if aerr := ex.assembleWire(rs); aerr != nil {
-			return nil, aerr
-		}
-	} else if ex.assemble != nil {
-		ex.assemble(rs)
-	}
-	if spans != nil {
-		rs.Trace = &PlanTraceWire{
-			Kind:    p.Kind,
-			Workers: workers,
-			Tasks:   n,
-			WallMS:  Float(time.Since(planStart).Seconds() * 1e3),
-			Spans:   spans,
-		}
-	}
+	rs.Trace = p.NewTrace(workers, start, walls)
 	return rs, nil
 }
 
@@ -422,44 +332,91 @@ func (p *Plan) Execute(ctx context.Context, workers int, yield func(TaskResult) 
 // the first missing index. No assembly step runs — the coordinator merges
 // shards with Assemble. A yield error cancels the remaining tasks.
 func (p *Plan) ExecuteRange(ctx context.Context, workers, from, to int, yield func(tr TaskResult, wallMS float64) error) error {
-	if from < 0 || to > p.numTasks || from >= to {
-		return errf("range", "task range [%d,%d) outside plan of %d tasks", from, to, p.numTasks)
+	if from < 0 || to > len(p.labels) || from >= to {
+		return errf("range", "task range [%d,%d) outside plan of %d tasks", from, to, len(p.labels))
 	}
 	workers = engine.ResolveWorkers(workers)
-	if p.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.Timeout)
-		defer cancel()
-	}
 	ex, aerr := p.build(workers)
 	if aerr != nil {
 		return aerr
 	}
+	_, _, err := p.run(ctx, ex, workers, from, to, yield)
+	return err
+}
+
+// Assemble merges already-computed per-task results (in plan order, e.g.
+// collected from distributed ExecuteRange shards) into the same ResultSet
+// Execute produces, byte for byte: the per-kind assembly step (the replicas
+// summary) reads each task's wire payload where it carries no in-process
+// value, and the exact-round-trip floats make the merged statistics
+// bit-identical to a local run. Every task of the plan must be present with
+// its payload set.
+func (p *Plan) Assemble(results []TaskResult) (*ResultSet, error) {
+	if len(results) != len(p.labels) {
+		return nil, errf("results", "%d results for a plan of %d tasks", len(results), len(p.labels))
+	}
+	ex, aerr := p.build(engine.ResolveWorkers(p.Workers))
+	if aerr != nil {
+		return nil, aerr
+	}
+	return assemble(p.Kind, ex, results)
+}
+
+// run is the one ordered runner behind Execute and ExecuteRange. It runs
+// tasks [from,to) of ex on workers goroutines under the plan deadline —
+// each task a store lookup or a compute, then its per-task encode — and
+// returns the results and, when an emit or the trace reads them, their
+// wall times (ms, store lookup and compute), both indexed from from. When
+// emit is non-nil it receives every result in plan order as soon as it and
+// all its range predecessors have completed, and an emit error cancels the
+// remaining tasks and is returned. A nil emit keeps the fan-out free of any
+// per-task handoff. On error the results are incomplete and must be
+// dropped.
+func (p *Plan) run(ctx context.Context, ex *exec, workers, from, to int, emit func(TaskResult, float64) error) ([]TaskResult, []float64, error) {
+	// One derived context carries both the plan deadline and the cancel an
+	// emit error needs; the no-deadline, no-emit path derives none.
+	cancel := context.CancelFunc(func() {})
+	switch {
+	case p.Timeout > 0:
+		ctx, cancel = context.WithTimeout(ctx, p.Timeout)
+	case emit != nil:
+		ctx, cancel = context.WithCancel(ctx)
+	}
+	defer cancel()
 	n := to - from
 	results := make([]TaskResult, n)
-	walls := make([]float64, n)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	done := make(chan int, n)
-	var mapErr error
-	go func() {
-		defer close(done)
-		mapErr = engine.Map(ctx, workers, n, func(i int) error {
+	var walls []float64 // only an emit or a trace reads wall times
+	var done chan int
+	if emit != nil || p.Trace {
+		walls = make([]float64, n)
+	}
+	if emit != nil {
+		done = make(chan int, n)
+	}
+	fanOut := func() error {
+		return engine.Map(ctx, workers, n, func(i int) error {
 			idx := from + i
-			start := time.Now()
+			var start time.Time
+			if walls != nil {
+				start = time.Now()
+			}
 			r, hit := p.taskFromStore(idx)
 			if !hit {
 				var err error
-				r, err = ex.tasks[idx].run(ctx)
-				if err != nil {
+				if r, err = ex.tasks[idx].run(ctx); err != nil {
 					return err
 				}
 			}
-			walls[i] = time.Since(start).Seconds() * 1e3
+			if walls != nil {
+				walls[i] = time.Since(start).Seconds() * 1e3
+			}
 			r.Index = idx
 			r.Label = ex.tasks[idx].label
 			p.encodeTask(&r, hit)
 			results[i] = r
+			if done == nil {
+				return nil
+			}
 			select {
 			case done <- i:
 				return nil
@@ -467,49 +424,93 @@ func (p *Plan) ExecuteRange(ctx context.Context, workers, from, to int, yield fu
 				return ctx.Err()
 			}
 		})
+	}
+	if emit == nil {
+		return results, walls, fanOut()
+	}
+
+	var mapErr error
+	go func() {
+		defer close(done)
+		mapErr = fanOut()
 	}()
-	var yieldErr error
+	var emitErr error
 	ready := make([]bool, n)
 	next := 0
 	for i := range done {
 		ready[i] = true
 		for next < n && ready[next] {
-			if yieldErr == nil {
-				if err := yield(results[next], walls[next]); err != nil {
-					yieldErr = err
+			if emitErr == nil {
+				if err := emit(results[next], walls[next]); err != nil {
+					emitErr = err
 					cancel()
 				}
 			}
 			next++
 		}
 	}
-	if yieldErr != nil {
-		return yieldErr
+	if emitErr != nil {
+		return nil, nil, emitErr
 	}
-	return mapErr
+	return results, walls, mapErr
 }
 
-// Assemble merges already-computed per-task results (in plan order, e.g.
-// collected from distributed ExecuteRange shards) into the same ResultSet
-// Execute produces, byte for byte: the per-kind assembly step (the replicas
-// summary) is recomputed from the wire payloads, whose exact-round-trip
-// floats make the merged statistics bit-identical to a local run. Every
-// task of the plan must be present with its payload set.
-func (p *Plan) Assemble(results []TaskResult) (*ResultSet, error) {
-	if len(results) != p.numTasks {
-		return nil, errf("results", "%d results for a plan of %d tasks", len(results), p.numTasks)
-	}
-	ex, aerr := p.build(engine.ResolveWorkers(p.Workers))
-	if aerr != nil {
-		return nil, aerr
-	}
-	rs := &ResultSet{Version: Version, Kind: p.Kind, Results: results}
-	if ex.assembleWire != nil {
-		if err := ex.assembleWire(rs); err != nil {
-			return nil, err
+// assemble wraps a complete, plan-ordered result vector in its ResultSet
+// and runs the kind's assembly step.
+func assemble(kind Kind, ex *exec, results []TaskResult) (*ResultSet, error) {
+	rs := &ResultSet{Version: Version, Kind: kind, Results: results}
+	if ex.assemble != nil {
+		if aerr := ex.assemble(rs); aerr != nil {
+			return nil, aerr
 		}
 	}
 	return rs, nil
+}
+
+// taskValues collects every task's in-process value for an assembly step:
+// the value itself where the task carries one, fromWire's decoding of its
+// wire payload otherwise (store hits and remote shards carry no value).
+// all reports whether every task carried its value — only then may the
+// merged in-process result be exposed through ResultSet.Value.
+func taskValues[T any](rs *ResultSet, payload string, fromWire func(*TaskResult) (T, bool)) (vals []T, all bool, aerr *Error) {
+	vals = make([]T, len(rs.Results))
+	all = true
+	for i := range rs.Results {
+		tr := &rs.Results[i]
+		if v, ok := tr.value.(T); ok {
+			vals[i] = v
+			continue
+		}
+		v, ok := fromWire(tr)
+		if !ok {
+			return nil, false, errf("results", "task %d carries no %s payload", i, payload)
+		}
+		vals[i] = v
+		all = false
+	}
+	return vals, all, nil
+}
+
+// NewTrace builds the plan's execution trace — one span per task with its
+// label, its seed where the plan derives one, and its wall time from walls
+// (ms, plan order) — under the given worker grant, timed end to end from
+// start. It returns nil when the query did not opt into tracing. Execute
+// and the distributed coordinator share it, so their traces have one shape.
+func (p *Plan) NewTrace(workers int, start time.Time, walls []float64) *PlanTraceWire {
+	if !p.Trace {
+		return nil
+	}
+	spans := make([]TaskSpanWire, len(p.labels))
+	for i := range spans {
+		spans[i] = TaskSpanWire{Index: i, Label: p.labels[i], Seed: p.seeds[i], WallMS: Float(walls[i])}
+	}
+	return &PlanTraceWire{
+		Kind:    p.Kind,
+		Workers: engine.ResolveWorkers(workers),
+		Tasks:   len(p.labels),
+		WallMS:  Float(time.Since(start).Seconds() * 1e3),
+		Spans:   spans,
+	}
 }
 
 // Shardable reports whether the plan benefits from distributed execution:
@@ -520,7 +521,7 @@ func (p *Plan) Assemble(results []TaskResult) (*ResultSet, error) {
 func (p *Plan) Shardable() bool {
 	switch p.Kind {
 	case KindBatch, KindReplicas, KindLifetime, KindGrid:
-		return p.numTasks > 1
+		return len(p.labels) > 1
 	}
 	return false
 }
@@ -566,14 +567,20 @@ func (q *Query) buildEvaluate(workers int) (*exec, *Error) {
 	if aerr != nil {
 		return nil, aerr
 	}
-	return &exec{tasks: []task{{label: string(KindEvaluate), run: func(ctx context.Context) (TaskResult, error) {
+	return &exec{tasks: []task{evaluateTask(string(KindEvaluate), p)}}, nil
+}
+
+// evaluateTask is one analytic evaluation of p: the task of evaluate, of
+// every batch element and of every grid point.
+func evaluateTask(label string, p core.Params) task {
+	return task{label: label, run: func(ctx context.Context) (TaskResult, error) {
 		m, err := core.Evaluate(p)
 		if err != nil {
 			return TaskResult{}, err
 		}
 		mw := WireMetrics(m)
 		return TaskResult{Metrics: &mw, value: m}, nil
-	}}}}, nil
+	}}
 }
 
 func (q *Query) buildBatch(workers int) (*exec, *Error) {
@@ -600,16 +607,8 @@ func (q *Query) buildBatch(workers int) (*exec, *Error) {
 		}
 	}
 	tasks := make([]task, len(ps))
-	for i := range ps {
-		p := ps[i]
-		tasks[i] = task{label: "batch[" + strconv.Itoa(i) + "]", run: func(ctx context.Context) (TaskResult, error) {
-			m, err := core.Evaluate(p)
-			if err != nil {
-				return TaskResult{}, err
-			}
-			mw := WireMetrics(m)
-			return TaskResult{Metrics: &mw, value: m}, nil
-		}}
+	for i, p := range ps {
+		tasks[i] = evaluateTask("batch["+strconv.Itoa(i)+"]", p)
 	}
 	return &exec{tasks: tasks}, nil
 }
@@ -764,29 +763,24 @@ func (q *Query) buildReplicas(workers int) (*exec, *Error) {
 			return TaskResult{Sim: &rw, value: r}, nil
 		}}
 	}
-	return &exec{tasks: tasks, assemble: func(rs *ResultSet) {
-		results := make([]netsim.Result, len(rs.Results))
-		for i := range rs.Results {
-			results[i] = rs.Results[i].value.(netsim.Result)
-		}
-		set := netsim.Merge(cfg, seeds, results)
-		summary := WireReplicaSummary(set)
-		rs.Summary = &summary
-		rs.value = set
-	}, assembleWire: func(rs *ResultSet) *Error {
+	return &exec{tasks: tasks, assemble: func(rs *ResultSet) *Error {
 		// The wire replica payloads round-trip the exact floats the merge
-		// folds, so the summary recomputed here is bit-identical to the
-		// in-process assemble above.
-		results := make([]netsim.Result, len(rs.Results))
-		for i := range rs.Results {
-			if rs.Results[i].Sim == nil {
-				return errf("results", "task %d carries no sim payload", i)
+		// folds, so values and wire payloads merge bit-identically.
+		results, all, aerr := taskValues(rs, "sim", func(tr *TaskResult) (netsim.Result, bool) {
+			if tr.Sim == nil {
+				return netsim.Result{}, false
 			}
-			results[i] = rs.Results[i].Sim.Result()
+			return tr.Sim.Result(), true
+		})
+		if aerr != nil {
+			return aerr
 		}
 		set := netsim.Merge(cfg, seeds, results)
 		summary := WireReplicaSummary(set)
 		rs.Summary = &summary
+		if all {
+			rs.value = set
+		}
 		return nil
 	}}, nil
 }
@@ -932,15 +926,7 @@ func (q *Query) buildGrid(workers int) (*exec, *Error) {
 					if err := p.Validate(); err != nil {
 						return nil, errf("grid", "%s: %v", label, err)
 					}
-					pt := p
-					tasks = append(tasks, task{label: label, run: func(ctx context.Context) (TaskResult, error) {
-						m, err := core.Evaluate(pt)
-						if err != nil {
-							return TaskResult{}, err
-						}
-						mw := WireMetrics(m)
-						return TaskResult{Metrics: &mw, value: m}, nil
-					}})
+					tasks = append(tasks, evaluateTask(label, p))
 				}
 			}
 		}
@@ -950,5 +936,5 @@ func (q *Query) buildGrid(workers int) (*exec, *Error) {
 
 // String implements fmt.Stringer with a one-line plan summary.
 func (p *Plan) String() string {
-	return fmt.Sprintf("query plan: kind=%s tasks=%d", p.Kind, p.numTasks)
+	return fmt.Sprintf("query plan: kind=%s tasks=%d", p.Kind, len(p.labels))
 }

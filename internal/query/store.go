@@ -92,8 +92,8 @@ func EncodeTaskResult(tr TaskResult) ([]byte, error) {
 }
 
 // DecodeTaskResult parses canonical TaskResult bytes back. The decoded
-// result carries wire payloads only (Value() is nil), which is why
-// store-enabled plans assemble through the wire path.
+// result carries wire payloads only (Value() is nil), which is why the
+// assembly step reads a stored task from its wire payload.
 func DecodeTaskResult(b []byte) (TaskResult, error) {
 	var tr TaskResult
 	if err := json.Unmarshal(b, &tr); err != nil {

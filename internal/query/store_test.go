@@ -92,26 +92,35 @@ func TestExecuteStoreByteIdentity(t *testing.T) {
 }
 
 // TestExecuteStorePartialWarm seeds a strict subset of tasks and checks the
-// run recomputes exactly the holes, still byte-identically.
+// run recomputes exactly the holes, still byte-identically. The replicas
+// plan assembles its summary from a mix of computed values and stored wire
+// payloads.
 func TestExecuteStorePartialWarm(t *testing.T) {
-	q := storeGridQuery()
-	want, _ := encodeRun(t, q, nil)
-
-	full := newMapStore()
-	encodeRun(t, q, full)
-	n := len(full.m)
-
-	partial := newMapStore()
-	for i := 0; i < n; i += 2 {
-		partial.m[i] = full.m[i]
+	queries := map[string]Query{
+		"grid":     storeGridQuery(),
+		"replicas": {Kind: KindReplicas, Sim: &SimConfigWire{Nodes: intPtr(10), Superframes: intPtr(4)}, Replicas: 6},
 	}
-	seeded := len(partial.m)
-	got, _ := encodeRun(t, q, partial)
-	if !bytes.Equal(got, want) {
-		t.Fatal("partially warm run deviates from storeless run")
-	}
-	if partial.puts != n-seeded {
-		t.Fatalf("partial run put %d entries, want %d (the holes)", partial.puts, n-seeded)
+	for name, q := range queries {
+		t.Run(name, func(t *testing.T) {
+			want, _ := encodeRun(t, q, nil)
+
+			full := newMapStore()
+			encodeRun(t, q, full)
+			n := len(full.m)
+
+			partial := newMapStore()
+			for i := 0; i < n; i += 2 {
+				partial.m[i] = full.m[i]
+			}
+			seeded := len(partial.m)
+			got, _ := encodeRun(t, q, partial)
+			if !bytes.Equal(got, want) {
+				t.Fatal("partially warm run deviates from storeless run")
+			}
+			if partial.puts != n-seeded {
+				t.Fatalf("partial run put %d entries, want %d (the holes)", partial.puts, n-seeded)
+			}
+		})
 	}
 }
 
