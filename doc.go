@@ -428,8 +428,8 @@
 // hot-path micro-benchmarks) and writes a JSON report of ns/op, B/op and
 // allocs/op per benchmark:
 //
-//	go run ./cmd/wsn-bench -out BENCH_PR13.json   # refresh the baseline
-//	go run ./cmd/wsn-bench -diff BENCH_PR13.json  # compare a fresh run
+//	go run ./cmd/wsn-bench -out BENCH_PR16.json   # refresh the baseline
+//	go run ./cmd/wsn-bench -diff BENCH_PR16.json  # compare a fresh run
 //
 // The committed BENCH_*.json files form the repository's performance
 // trajectory; CI regenerates a -quick report per push and diffs it against

@@ -130,14 +130,16 @@ func berByName(name string) (phy.BERModel, *Error) {
 // canceled request can pin its worker tokens.
 const MaxMCSuperframes = 20000
 
-// source resolves the contention wire config.
-func (w *ContentionWire) source(workers int) (contention.Source, *Error) {
+// source resolves the contention wire config. A Monte-Carlo source runs
+// its characterization on one worker; a plan hands a run's worker grant to
+// it only where no sweep level nests above it (see granted).
+func (w *ContentionWire) source() (contention.Source, *Error) {
 	if w == nil {
 		w = &ContentionWire{}
 	}
 	switch w.Source {
 	case "", "montecarlo":
-		cfg := contention.Config{Superframes: 60, Seed: 2005, Workers: workers}
+		cfg := contention.Config{Superframes: 60, Seed: 2005, Workers: 1}
 		if w.Superframes != 0 {
 			if w.Superframes < 1 || w.Superframes > MaxMCSuperframes {
 				return nil, errf("contention.superframes", "%d outside 1..%d", w.Superframes, MaxMCSuperframes)
@@ -163,16 +165,11 @@ func (w *ContentionWire) source(workers int) (contention.Source, *Error) {
 }
 
 // Params materializes the wire form onto core.DefaultParams and validates
-// the result. workers is the granted parallelism applied to the model sweep
-// and mcWorkers the parallelism of one Monte-Carlo contention
-// characterization. The two levels nest — each sweep goroutine can trigger
-// a characterization — so callers pass the full grant to exactly one level
-// (mcWorkers = 1 for sweeps and batches, workers = grant only for single
-// evaluations) and total concurrency stays within the grant. Neither value
-// ever changes the computed bytes.
-func (w ParamsWire) Params(workers, mcWorkers int) (core.Params, *Error) {
+// the result. The parallelism fields keep their single-evaluation values
+// (Params.Workers as DefaultParams leaves it, one worker per Monte-Carlo
+// characterization); a plan applies its worker grant when it runs.
+func (w ParamsWire) Params() (core.Params, *Error) {
 	p := core.DefaultParams()
-	p.Workers = workers
 
 	r, aerr := RadioByName(w.Radio)
 	if aerr != nil {
@@ -184,7 +181,7 @@ func (w ParamsWire) Params(workers, mcWorkers int) (core.Params, *Error) {
 		return core.Params{}, aerr
 	}
 	p.BER = ber
-	src, aerr := w.Contention.source(mcWorkers)
+	src, aerr := w.Contention.source()
 	if aerr != nil {
 		return core.Params{}, aerr
 	}

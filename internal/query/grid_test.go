@@ -31,7 +31,7 @@ func TestGridMatchesEvaluate(t *testing.T) {
 	if len(rs.Results) != 4 {
 		t.Fatalf("grid produced %d tasks, want 4", len(rs.Results))
 	}
-	base, aerr := quickParams().Params(1, 1)
+	base, aerr := quickParams().Params()
 	if aerr != nil {
 		t.Fatal(aerr)
 	}
@@ -69,7 +69,7 @@ func TestGridNodesAxisSetsChannelLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, aerr := quickParams().Params(1, 1)
+	base, aerr := quickParams().Params()
 	if aerr != nil {
 		t.Fatal(aerr)
 	}
@@ -100,7 +100,7 @@ func TestGridBOAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, aerr := quickParams().Params(1, 1)
+	base, aerr := quickParams().Params()
 	if aerr != nil {
 		t.Fatal(aerr)
 	}

@@ -224,28 +224,27 @@ func WireLifetimeSummary(rs lifetime.ReplicaSet) LifetimeSummaryWire {
 // full epoch-sampled lifetime run under its derived seed), merged into the
 // across-replica summary — the same shape buildReplicas gives simulation
 // replicas, so distributed sharding and the store work unchanged.
-func (q *Query) buildLifetime(workers int) (*exec, *Error) {
+func (q *Query) buildLifetime(p *Plan) *Error {
 	simCfg, aerr := q.simConfig()
 	if aerr != nil {
-		return nil, aerr
+		return aerr
 	}
 	lcfg, aerr := q.Lifetime.Config(simCfg)
 	if aerr != nil {
-		return nil, aerr
+		return aerr
 	}
 	if q.Direct == nil && (q.Replicas < 0 || q.Replicas > MaxReplicas) {
-		return nil, errf("replicas", "%d outside 0..%d", q.Replicas, MaxReplicas)
+		return errf("replicas", "%d outside 0..%d", q.Replicas, MaxReplicas)
 	}
 	n := q.Replicas
 	if n < 1 {
 		n = 1
 	}
 	seeds := netsim.ReplicaSeeds(simCfg.Seed, n)
-	tasks := make([]task, n)
-	for i := range tasks {
+	p.tasks = make([]task, n)
+	for i := range p.tasks {
 		seed := seeds[i]
-		idx := i
-		tasks[i] = task{label: "lifetime[" + strconv.Itoa(idx) + "]", seed: &seed, run: func(ctx context.Context) (TaskResult, error) {
+		p.tasks[i] = task{label: "lifetime[" + strconv.Itoa(i) + "]", seed: &seed, run: func(context.Context, int) (TaskResult, error) {
 			c := lcfg
 			c.Sim.Seed = seed
 			r := lifetime.Run(c)
@@ -253,7 +252,7 @@ func (q *Query) buildLifetime(workers int) (*exec, *Error) {
 			return TaskResult{Lifetime: &rw, value: r}, nil
 		}}
 	}
-	return &exec{tasks: tasks, assemble: func(rs *ResultSet) *Error {
+	p.assemble = func(rs *ResultSet) *Error {
 		// The wire payloads carry the merged observables in exact seconds,
 		// so values and wire payloads merge bit-identically.
 		results, all, aerr := taskValues(rs, "lifetime", func(tr *TaskResult) (lifetime.Result, bool) {
@@ -272,5 +271,6 @@ func (q *Query) buildLifetime(workers int) (*exec, *Error) {
 			rs.value = set
 		}
 		return nil
-	}}, nil
+	}
+	return nil
 }

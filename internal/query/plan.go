@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"dense802154/internal/contention"
 	"dense802154/internal/core"
 	"dense802154/internal/engine"
 	"dense802154/internal/experiments"
@@ -178,35 +179,25 @@ func (rs *ResultSet) encodedSizeHint() int {
 	return n
 }
 
-// task is one schedulable unit of a compiled plan.
+// task is one schedulable unit of a compiled plan. run computes it under the
+// worker grant of the run that schedules it; a compiled Plan is shared by
+// every caller, so run never mutates what it captured.
 type task struct {
 	label string
 	seed  *int64 // per-task seed, set where the plan derives one (replicas)
-	run   func(ctx context.Context) (TaskResult, error)
-}
-
-// exec is one materialized execution: the tasks plus the optional per-kind
-// assembly step that derives the merged summary from the per-task results.
-// assemble reads each task's in-process value where it has one and its wire
-// payload otherwise (a store hit, or a shard that crossed a machine
-// boundary), so one step serves Execute and Assemble alike.
-type exec struct {
-	tasks    []task
-	assemble func(rs *ResultSet) *Error
+	run   func(ctx context.Context, workers int) (TaskResult, error)
 }
 
 // Plan is a compiled Query: a validated, deterministic list of engine
-// tasks. Compile materializes the declarative specs once to validate them;
-// Execute, ExecuteRange and Assemble re-materialize with the granted worker
-// count (worker counts never change computed bytes — only how fast they
-// arrive). Execute and ExecuteRange run the tasks on the shared engine pool
-// through one ordered runner; Execute and Assemble finish through one
-// per-kind assembly step.
+// tasks. Compile lowers the query to its tasks once; every run of the plan
+// — Execute, ExecuteRange, concurrent ones included — schedules those same
+// tasks on the shared engine pool through one ordered runner and hands
+// each task the run's worker grant (worker counts never change computed
+// bytes, only how fast they arrive). Execute and Assemble finish through
+// one per-kind assembly step.
 type Plan struct {
 	// Kind echoes the query kind.
 	Kind Kind
-	// Workers is the parallelism the query asked for (0 ⇒ NumCPU).
-	Workers int
 	// Trace carries the query's tracing opt-in; Execute attaches a
 	// PlanTraceWire to the ResultSet when set.
 	Trace bool
@@ -223,55 +214,51 @@ type Plan struct {
 	// are recomputed.
 	Store TaskStore
 
-	labels []string
-	seeds  []*int64 // per-task seeds in plan order (nil entries: no seed)
-	build  func(workers int) (*exec, *Error)
+	tasks []task
+	// assemble is the kind's optional assembly step, deriving the merged
+	// summary from the per-task results. It reads each task's in-process
+	// value where it has one and its wire payload otherwise (a store hit,
+	// or a shard that crossed a machine boundary), so one step serves
+	// Execute and Assemble alike.
+	assemble func(rs *ResultSet) *Error
 }
 
 // NumTasks reports how many tasks the plan schedules (batch elements,
 // simulation replicas, or 1 for single-result kinds).
-func (p *Plan) NumTasks() int { return len(p.labels) }
+func (p *Plan) NumTasks() int { return len(p.tasks) }
 
 // Labels lists the task labels in plan order.
-func (p *Plan) Labels() []string { return append([]string(nil), p.labels...) }
+func (p *Plan) Labels() []string {
+	out := make([]string, len(p.tasks))
+	for i, t := range p.tasks {
+		out[i] = t.label
+	}
+	return out
+}
 
-// Compile validates q and lowers it to an execution plan. Validation
-// failures return a field-scoped *Error suitable for a structured 400.
+// builders lowers each query kind onto a plan: it validates the kind's
+// fields and sets the plan's tasks and assembly step.
+var builders = map[Kind]func(*Query, *Plan) *Error{
+	KindEvaluate:      (*Query).buildEvaluate,
+	KindBatch:         (*Query).buildBatch,
+	KindCaseStudy:     (*Query).buildCaseStudy,
+	KindPathLossSweep: (*Query).buildPathLossSweep,
+	KindThresholds:    (*Query).buildThresholds,
+	KindPayloadSweep:  (*Query).buildPayloadSweep,
+	KindSimulate:      (*Query).buildSimulate,
+	KindReplicas:      (*Query).buildReplicas,
+	KindLifetime:      (*Query).buildLifetime,
+	KindScenario:      (*Query).buildScenario,
+	KindExperiment:    (*Query).buildExperiment,
+	KindGrid:          (*Query).buildGrid,
+}
+
+// Compile validates q and lowers it to an execution plan, building every
+// task up front so each validation error surfaces before any work is
+// scheduled. Validation failures return a field-scoped *Error suitable for
+// a structured 400.
 func Compile(q Query) (*Plan, error) {
 	if aerr := q.validateShape(); aerr != nil {
-		return nil, aerr
-	}
-	var build func(workers int) (*exec, *Error)
-	switch q.Kind {
-	case KindEvaluate:
-		build = q.buildEvaluate
-	case KindBatch:
-		build = q.buildBatch
-	case KindCaseStudy:
-		build = q.buildCaseStudy
-	case KindPathLossSweep:
-		build = q.buildPathLossSweep
-	case KindThresholds:
-		build = q.buildThresholds
-	case KindPayloadSweep:
-		build = q.buildPayloadSweep
-	case KindSimulate:
-		build = q.buildSimulate
-	case KindReplicas:
-		build = q.buildReplicas
-	case KindLifetime:
-		build = q.buildLifetime
-	case KindScenario:
-		build = q.buildScenario
-	case KindExperiment:
-		build = q.buildExperiment
-	case KindGrid:
-		build = q.buildGrid
-	}
-	// Materialize once at the request's own parallelism to surface every
-	// validation error before any work is scheduled.
-	ex, aerr := build(engine.ResolveWorkers(q.Workers))
-	if aerr != nil {
 		return nil, aerr
 	}
 	// A timeout_ms past ~292 years would overflow the Duration multiply;
@@ -280,41 +267,32 @@ func Compile(q Query) (*Plan, error) {
 	if q.TimeoutMS > math.MaxInt64/int64(time.Millisecond) {
 		timeout = math.MaxInt64
 	}
-	p := &Plan{
-		Kind: q.Kind, Workers: q.Workers, Trace: q.Trace,
-		Timeout: timeout,
-		build:   build,
-		labels:  make([]string, len(ex.tasks)),
-		seeds:   make([]*int64, len(ex.tasks)),
-	}
-	for i, t := range ex.tasks {
-		p.labels[i], p.seeds[i] = t.label, t.seed
+	p := &Plan{Kind: q.Kind, Trace: q.Trace, Timeout: timeout}
+	if aerr := builders[q.Kind](&q, p); aerr != nil {
+		return nil, aerr
 	}
 	return p, nil
 }
 
-// Execute runs the plan on workers goroutines (≤ 0 ⇒ NumCPU) and returns
-// the assembled ResultSet. When yield is non-nil it receives every
+// Execute runs the compiled tasks on workers goroutines (≤ 0 ⇒ NumCPU),
+// handing each task that grant (see granted), and returns the assembled
+// ResultSet. When yield is non-nil it receives every
 // TaskResult in plan order as soon as it and all its predecessors have
 // completed — tasks still run concurrently, the emission order is just
 // pinned to the plan — and a yield error cancels the remaining tasks and is
 // returned. A canceled ctx stops the plan promptly with ctx.Err().
 func (p *Plan) Execute(ctx context.Context, workers int, yield func(TaskResult) error) (*ResultSet, error) {
 	workers = engine.ResolveWorkers(workers)
-	ex, aerr := p.build(workers)
-	if aerr != nil {
-		return nil, aerr
-	}
 	start := time.Now()
 	var emit func(TaskResult, float64) error
 	if yield != nil {
 		emit = func(tr TaskResult, _ float64) error { return yield(tr) }
 	}
-	results, walls, err := p.run(ctx, ex, workers, 0, len(ex.tasks), emit)
+	results, walls, err := p.run(ctx, workers, 0, len(p.tasks), emit)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := assemble(p.Kind, ex, results)
+	rs, err := p.Assemble(results)
 	if err != nil {
 		return nil, err
 	}
@@ -332,47 +310,45 @@ func (p *Plan) Execute(ctx context.Context, workers int, yield func(TaskResult) 
 // the first missing index. No assembly step runs — the coordinator merges
 // shards with Assemble. A yield error cancels the remaining tasks.
 func (p *Plan) ExecuteRange(ctx context.Context, workers, from, to int, yield func(tr TaskResult, wallMS float64) error) error {
-	if from < 0 || to > len(p.labels) || from >= to {
-		return errf("range", "task range [%d,%d) outside plan of %d tasks", from, to, len(p.labels))
+	if from < 0 || to > len(p.tasks) || from >= to {
+		return errf("range", "task range [%d,%d) outside plan of %d tasks", from, to, len(p.tasks))
 	}
-	workers = engine.ResolveWorkers(workers)
-	ex, aerr := p.build(workers)
-	if aerr != nil {
-		return aerr
-	}
-	_, _, err := p.run(ctx, ex, workers, from, to, yield)
+	_, _, err := p.run(ctx, engine.ResolveWorkers(workers), from, to, yield)
 	return err
 }
 
-// Assemble merges already-computed per-task results (in plan order, e.g.
-// collected from distributed ExecuteRange shards) into the same ResultSet
-// Execute produces, byte for byte: the per-kind assembly step (the replicas
-// summary) reads each task's wire payload where it carries no in-process
-// value, and the exact-round-trip floats make the merged statistics
-// bit-identical to a local run. Every task of the plan must be present with
-// its payload set.
+// Assemble wraps a complete, plan-ordered result vector in its ResultSet and
+// runs the kind's assembly step — the last step of Execute, and the merge of
+// already-computed results (e.g. collected from distributed ExecuteRange
+// shards) into the same ResultSet Execute produces, byte for byte: the
+// assembly step (the replicas summary) reads each task's wire payload where
+// it carries no in-process value, and the exact-round-trip floats make the
+// merged statistics bit-identical to a local run. Every task of the plan
+// must be present with its payload set.
 func (p *Plan) Assemble(results []TaskResult) (*ResultSet, error) {
-	if len(results) != len(p.labels) {
-		return nil, errf("results", "%d results for a plan of %d tasks", len(results), len(p.labels))
+	if len(results) != len(p.tasks) {
+		return nil, errf("results", "%d results for a plan of %d tasks", len(results), len(p.tasks))
 	}
-	ex, aerr := p.build(engine.ResolveWorkers(p.Workers))
-	if aerr != nil {
-		return nil, aerr
+	rs := &ResultSet{Version: Version, Kind: p.Kind, Results: results}
+	if p.assemble != nil {
+		if aerr := p.assemble(rs); aerr != nil {
+			return nil, aerr
+		}
 	}
-	return assemble(p.Kind, ex, results)
+	return rs, nil
 }
 
 // run is the one ordered runner behind Execute and ExecuteRange. It runs
-// tasks [from,to) of ex on workers goroutines under the plan deadline —
-// each task a store lookup or a compute, then its per-task encode — and
-// returns the results and, when an emit or the trace reads them, their
-// wall times (ms, store lookup and compute), both indexed from from. When
-// emit is non-nil it receives every result in plan order as soon as it and
-// all its range predecessors have completed, and an emit error cancels the
-// remaining tasks and is returned. A nil emit keeps the fan-out free of any
-// per-task handoff. On error the results are incomplete and must be
-// dropped.
-func (p *Plan) run(ctx context.Context, ex *exec, workers, from, to int, emit func(TaskResult, float64) error) ([]TaskResult, []float64, error) {
+// tasks [from,to) on workers goroutines under the plan deadline — each task
+// a store lookup or a compute under the worker grant, then its per-task
+// encode — and returns the results and, when an emit or the trace reads
+// them, their wall times (ms, store lookup and compute), both indexed from
+// from. When emit is non-nil it receives every result in plan order as soon
+// as it and all its range predecessors have completed, and an emit error
+// cancels the remaining tasks and is returned. A nil emit keeps the fan-out
+// free of any per-task handoff. On error the results are incomplete and
+// must be dropped.
+func (p *Plan) run(ctx context.Context, workers, from, to int, emit func(TaskResult, float64) error) ([]TaskResult, []float64, error) {
 	// One derived context carries both the plan deadline and the cancel an
 	// emit error needs; the no-deadline, no-emit path derives none.
 	cancel := context.CancelFunc(func() {})
@@ -403,7 +379,7 @@ func (p *Plan) run(ctx context.Context, ex *exec, workers, from, to int, emit fu
 			r, hit := p.taskFromStore(idx)
 			if !hit {
 				var err error
-				if r, err = ex.tasks[idx].run(ctx); err != nil {
+				if r, err = p.tasks[idx].run(ctx, workers); err != nil {
 					return err
 				}
 			}
@@ -411,7 +387,7 @@ func (p *Plan) run(ctx context.Context, ex *exec, workers, from, to int, emit fu
 				walls[i] = time.Since(start).Seconds() * 1e3
 			}
 			r.Index = idx
-			r.Label = ex.tasks[idx].label
+			r.Label = p.tasks[idx].label
 			p.encodeTask(&r, hit)
 			results[i] = r
 			if done == nil {
@@ -455,18 +431,6 @@ func (p *Plan) run(ctx context.Context, ex *exec, workers, from, to int, emit fu
 	return results, walls, mapErr
 }
 
-// assemble wraps a complete, plan-ordered result vector in its ResultSet
-// and runs the kind's assembly step.
-func assemble(kind Kind, ex *exec, results []TaskResult) (*ResultSet, error) {
-	rs := &ResultSet{Version: Version, Kind: kind, Results: results}
-	if ex.assemble != nil {
-		if aerr := ex.assemble(rs); aerr != nil {
-			return nil, aerr
-		}
-	}
-	return rs, nil
-}
-
 // taskValues collects every task's in-process value for an assembly step:
 // the value itself where the task carries one, fromWire's decoding of its
 // wire payload otherwise (store hits and remote shards carry no value).
@@ -500,14 +464,14 @@ func (p *Plan) NewTrace(workers int, start time.Time, walls []float64) *PlanTrac
 	if !p.Trace {
 		return nil
 	}
-	spans := make([]TaskSpanWire, len(p.labels))
-	for i := range spans {
-		spans[i] = TaskSpanWire{Index: i, Label: p.labels[i], Seed: p.seeds[i], WallMS: Float(walls[i])}
+	spans := make([]TaskSpanWire, len(p.tasks))
+	for i, t := range p.tasks {
+		spans[i] = TaskSpanWire{Index: i, Label: t.label, Seed: t.seed, WallMS: Float(walls[i])}
 	}
 	return &PlanTraceWire{
 		Kind:    p.Kind,
 		Workers: engine.ResolveWorkers(workers),
-		Tasks:   len(p.labels),
+		Tasks:   len(p.tasks),
 		WallMS:  Float(time.Since(start).Seconds() * 1e3),
 		Spans:   spans,
 	}
@@ -521,7 +485,7 @@ func (p *Plan) NewTrace(workers int, start time.Time, walls []float64) *PlanTrac
 func (p *Plan) Shardable() bool {
 	switch p.Kind {
 	case KindBatch, KindReplicas, KindLifetime, KindGrid:
-		return len(p.labels) > 1
+		return len(p.tasks) > 1
 	}
 	return false
 }
@@ -549,7 +513,7 @@ func RunStream(ctx context.Context, q Query, yield func(TaskResult) error) (*Res
 // baseParams materializes the shared analytic base point: the Direct value
 // verbatim when present, the declarative spec (defaulting to the paper's §5
 // configuration) otherwise.
-func (q *Query) baseParams(workers, mcWorkers int) (core.Params, *Error) {
+func (q *Query) baseParams() (core.Params, *Error) {
 	if q.Direct != nil && q.Direct.Params != nil {
 		return *q.Direct.Params, nil
 	}
@@ -557,33 +521,73 @@ func (q *Query) baseParams(workers, mcWorkers int) (core.Params, *Error) {
 	if w == nil {
 		w = &ParamsWire{}
 	}
-	return w.Params(workers, mcWorkers)
+	return w.Params()
 }
 
-func (q *Query) buildEvaluate(workers int) (*exec, *Error) {
-	// A lone evaluation has no sweep level, so the whole grant goes to its
-	// Monte-Carlo contention characterization (as /v1/evaluate did).
-	p, aerr := q.baseParams(workers, workers)
+// paramsTask sets the plan's one task for a kind computed from the base
+// point: compute receives the base parameters under the run's worker grant
+// (granted) — or, for Direct params, exactly as the caller built them.
+func (q *Query) paramsTask(p *Plan, compute func(ctx context.Context, bp core.Params) (TaskResult, error)) *Error {
+	base, aerr := q.baseParams()
 	if aerr != nil {
-		return nil, aerr
+		return aerr
 	}
-	return &exec{tasks: []task{evaluateTask(string(KindEvaluate), p)}}, nil
-}
-
-// evaluateTask is one analytic evaluation of p: the task of evaluate, of
-// every batch element and of every grid point.
-func evaluateTask(label string, p core.Params) task {
-	return task{label: label, run: func(ctx context.Context) (TaskResult, error) {
-		m, err := core.Evaluate(p)
-		if err != nil {
-			return TaskResult{}, err
+	kind, direct := p.Kind, q.Direct != nil && q.Direct.Params != nil
+	p.tasks = []task{{label: string(kind), run: func(ctx context.Context, workers int) (TaskResult, error) {
+		if direct {
+			return compute(ctx, base)
 		}
-		mw := WireMetrics(m)
-		return TaskResult{Metrics: &mw, value: m}, nil
-	}}
+		return compute(ctx, granted(kind, base, workers))
+	}}}
+	return nil
 }
 
-func (q *Query) buildBatch(workers int) (*exec, *Error) {
+// granted applies a run's worker grant to the wire-built parameters p of a
+// single-task kind. A task can parallelize at two nesting levels — the
+// model sweep over p.Workers and, under every sweep goroutine, a
+// Monte-Carlo contention characterization — so the whole grant goes to
+// exactly one of them and total concurrency stays within it. A lone
+// evaluation has no sweep level, so its characterization takes the grant;
+// the case study and the three sweeps take it on the sweep, their
+// characterizations staying at the one worker ParamsWire.Params builds
+// them with. Of the other kinds, scenario and experiment hand the grant to
+// their runners, and batch, grid, simulate, replicas and lifetime spread
+// it across their tasks, each of which ignores it. The grant never changes
+// computed bytes.
+func granted(kind Kind, p core.Params, workers int) core.Params {
+	if kind != KindEvaluate {
+		p.Workers = workers
+		return p
+	}
+	if mc, ok := p.Contention.(*contention.MCSource); ok {
+		base := mc.Base
+		base.Workers = workers
+		p.Contention = contention.NewMCSource(base)
+	}
+	return p
+}
+
+func (q *Query) buildEvaluate(p *Plan) *Error {
+	return q.paramsTask(p, func(_ context.Context, bp core.Params) (TaskResult, error) { return evaluate(bp) })
+}
+
+// evaluate is one analytic evaluation of p: the task of evaluate, of every
+// batch element and of every grid point.
+func evaluate(p core.Params) (TaskResult, error) {
+	m, err := core.Evaluate(p)
+	if err != nil {
+		return TaskResult{}, err
+	}
+	mw := WireMetrics(m)
+	return TaskResult{Metrics: &mw, value: m}, nil
+}
+
+// evaluateTask is the task of one batch element or grid point.
+func evaluateTask(label string, p core.Params) task {
+	return task{label: label, run: func(context.Context, int) (TaskResult, error) { return evaluate(p) }}
+}
+
+func (q *Query) buildBatch(p *Plan) *Error {
 	var ps []core.Params
 	if q.Direct != nil {
 		// Direct batches arrive pre-validated from the in-process facade;
@@ -591,29 +595,29 @@ func (q *Query) buildBatch(workers int) (*exec, *Error) {
 		ps = q.Direct.Batch
 	} else {
 		if len(q.Batch) == 0 {
-			return nil, errf("batch", "empty batch: need at least one element")
+			return errf("batch", "empty batch: need at least one element")
 		}
 		if len(q.Batch) > MaxBatch {
-			return nil, errf("batch", "batch too large (%d elements, max %d)", len(q.Batch), MaxBatch)
+			return errf("batch", "batch too large (%d elements, max %d)", len(q.Batch), MaxBatch)
 		}
 		ps = make([]core.Params, len(q.Batch))
 		for i, pw := range q.Batch {
-			p, aerr := pw.Params(workers, 1)
+			bp, aerr := pw.Params()
 			if aerr != nil {
 				aerr.Field = "batch[" + strconv.Itoa(i) + "]." + aerr.Field
-				return nil, aerr
+				return aerr
 			}
-			ps[i] = p
+			ps[i] = bp
 		}
 	}
-	tasks := make([]task, len(ps))
-	for i, p := range ps {
-		tasks[i] = evaluateTask("batch["+strconv.Itoa(i)+"]", p)
+	p.tasks = make([]task, len(ps))
+	for i, bp := range ps {
+		p.tasks[i] = evaluateTask("batch["+strconv.Itoa(i)+"]", bp)
 	}
-	return &exec{tasks: tasks}, nil
+	return nil
 }
 
-func (q *Query) buildCaseStudy(workers int) (*exec, *Error) {
+func (q *Query) buildCaseStudy(p *Plan) *Error {
 	var cfg core.CaseStudyConfig
 	if q.Direct != nil && q.Direct.CaseStudy != nil {
 		cfg = *q.Direct.CaseStudy
@@ -621,21 +625,17 @@ func (q *Query) buildCaseStudy(workers int) (*exec, *Error) {
 		var aerr *Error
 		cfg, aerr = q.Config.Config()
 		if aerr != nil {
-			return nil, aerr
+			return aerr
 		}
 	}
-	p, aerr := q.baseParams(workers, 1)
-	if aerr != nil {
-		return nil, aerr
-	}
-	return &exec{tasks: []task{{label: string(KindCaseStudy), run: func(ctx context.Context) (TaskResult, error) {
-		res, err := core.RunCaseStudyCtx(ctx, p, cfg)
+	return q.paramsTask(p, func(ctx context.Context, bp core.Params) (TaskResult, error) {
+		res, err := core.RunCaseStudyCtx(ctx, bp, cfg)
 		if err != nil {
 			return TaskResult{}, err
 		}
 		rw := WireCaseStudyResult(res)
 		return TaskResult{CaseStudy: &rw, value: res}, nil
-	}}}}, nil
+	})
 }
 
 // lossGrid resolves the loss axis: Direct grid, declarative axis, or the
@@ -647,17 +647,13 @@ func (q *Query) lossGrid() ([]float64, *Error) {
 	return q.Losses.Grid("losses", DefaultLossGrid)
 }
 
-func (q *Query) buildPathLossSweep(workers int) (*exec, *Error) {
+func (q *Query) buildPathLossSweep(p *Plan) *Error {
 	losses, aerr := q.lossGrid()
 	if aerr != nil {
-		return nil, aerr
+		return aerr
 	}
-	p, aerr := q.baseParams(workers, 1)
-	if aerr != nil {
-		return nil, aerr
-	}
-	return &exec{tasks: []task{{label: string(KindPathLossSweep), run: func(ctx context.Context) (TaskResult, error) {
-		curves, err := core.EnergyVsPathLossCtx(ctx, p, losses)
+	return q.paramsTask(p, func(ctx context.Context, bp core.Params) (TaskResult, error) {
+		curves, err := core.EnergyVsPathLossCtx(ctx, bp, losses)
 		if err != nil {
 			return TaskResult{}, err
 		}
@@ -666,20 +662,16 @@ func (q *Query) buildPathLossSweep(workers int) (*exec, *Error) {
 			out[i] = WireEnergyCurve(c)
 		}
 		return TaskResult{Curves: out, value: curves}, nil
-	}}}}, nil
+	})
 }
 
-func (q *Query) buildThresholds(workers int) (*exec, *Error) {
+func (q *Query) buildThresholds(p *Plan) *Error {
 	losses, aerr := q.lossGrid()
 	if aerr != nil {
-		return nil, aerr
+		return aerr
 	}
-	p, aerr := q.baseParams(workers, 1)
-	if aerr != nil {
-		return nil, aerr
-	}
-	return &exec{tasks: []task{{label: string(KindThresholds), run: func(ctx context.Context) (TaskResult, error) {
-		ths, err := core.ThresholdsCtx(ctx, p, losses)
+	return q.paramsTask(p, func(ctx context.Context, bp core.Params) (TaskResult, error) {
+		ths, err := core.ThresholdsCtx(ctx, bp, losses)
 		if err != nil {
 			return TaskResult{}, err
 		}
@@ -688,10 +680,10 @@ func (q *Query) buildThresholds(workers int) (*exec, *Error) {
 			out[i] = WireThreshold(t)
 		}
 		return TaskResult{Thresholds: out, value: ths}, nil
-	}}}}, nil
+	})
 }
 
-func (q *Query) buildPayloadSweep(workers int) (*exec, *Error) {
+func (q *Query) buildPayloadSweep(p *Plan) *Error {
 	var sizes []int
 	if q.Direct != nil && q.Direct.Payloads != nil {
 		sizes = q.Direct.Payloads
@@ -699,21 +691,17 @@ func (q *Query) buildPayloadSweep(workers int) (*exec, *Error) {
 		var aerr *Error
 		sizes, aerr = q.Payloads.Grid("payloads", DefaultPayloadSizes)
 		if aerr != nil {
-			return nil, aerr
+			return aerr
 		}
 	}
-	p, aerr := q.baseParams(workers, 1)
-	if aerr != nil {
-		return nil, aerr
-	}
-	return &exec{tasks: []task{{label: string(KindPayloadSweep), run: func(ctx context.Context) (TaskResult, error) {
-		series, err := core.EnergyVsPayloadCtx(ctx, p, sizes)
+	return q.paramsTask(p, func(ctx context.Context, bp core.Params) (TaskResult, error) {
+		series, err := core.EnergyVsPayloadCtx(ctx, bp, sizes)
 		if err != nil {
 			return TaskResult{}, err
 		}
 		pw := WirePayloadSeries(sizes, series)
 		return TaskResult{Payload: &pw, value: series}, nil
-	}}}}, nil
+	})
 }
 
 // simConfig materializes the simulator configuration.
@@ -724,38 +712,38 @@ func (q *Query) simConfig() (netsim.Config, *Error) {
 	return q.Sim.Config()
 }
 
-func (q *Query) buildSimulate(workers int) (*exec, *Error) {
+func (q *Query) buildSimulate(p *Plan) *Error {
 	cfg, aerr := q.simConfig()
 	if aerr != nil {
-		return nil, aerr
+		return aerr
 	}
-	return &exec{tasks: []task{{label: string(KindSimulate), run: func(ctx context.Context) (TaskResult, error) {
+	p.tasks = []task{{label: string(KindSimulate), run: func(context.Context, int) (TaskResult, error) {
 		r := netsim.Run(cfg)
 		rw := WireSimResult(cfg.Seed, r)
 		return TaskResult{Sim: &rw, value: r}, nil
-	}}}}, nil
+	}}}
+	return nil
 }
 
-func (q *Query) buildReplicas(workers int) (*exec, *Error) {
+func (q *Query) buildReplicas(p *Plan) *Error {
 	cfg, aerr := q.simConfig()
 	if aerr != nil {
-		return nil, aerr
+		return aerr
 	}
 	// The replica bound protects the wire surface; in-process facade
 	// callers (Direct) keep the unbounded legacy semantics.
 	if q.Direct == nil && (q.Replicas < 0 || q.Replicas > MaxReplicas) {
-		return nil, errf("replicas", "%d outside 0..%d", q.Replicas, MaxReplicas)
+		return errf("replicas", "%d outside 0..%d", q.Replicas, MaxReplicas)
 	}
 	n := q.Replicas
 	if n < 1 {
 		n = 1
 	}
 	seeds := netsim.ReplicaSeeds(cfg.Seed, n)
-	tasks := make([]task, n)
-	for i := range tasks {
+	p.tasks = make([]task, n)
+	for i := range p.tasks {
 		seed := seeds[i]
-		idx := i
-		tasks[i] = task{label: "replica[" + strconv.Itoa(idx) + "]", seed: &seed, run: func(ctx context.Context) (TaskResult, error) {
+		p.tasks[i] = task{label: "replica[" + strconv.Itoa(i) + "]", seed: &seed, run: func(context.Context, int) (TaskResult, error) {
 			c := cfg
 			c.Seed = seed
 			r := netsim.Run(c)
@@ -763,7 +751,7 @@ func (q *Query) buildReplicas(workers int) (*exec, *Error) {
 			return TaskResult{Sim: &rw, value: r}, nil
 		}}
 	}
-	return &exec{tasks: tasks, assemble: func(rs *ResultSet) *Error {
+	p.assemble = func(rs *ResultSet) *Error {
 		// The wire replica payloads round-trip the exact floats the merge
 		// folds, so values and wire payloads merge bit-identically.
 		results, all, aerr := taskValues(rs, "sim", func(tr *TaskResult) (netsim.Result, bool) {
@@ -782,25 +770,26 @@ func (q *Query) buildReplicas(workers int) (*exec, *Error) {
 			rs.value = set
 		}
 		return nil
-	}}, nil
+	}
+	return nil
 }
 
-func (q *Query) buildScenario(workers int) (*exec, *Error) {
+func (q *Query) buildScenario(p *Plan) *Error {
 	var sc scenario.Scenario
 	if q.Direct != nil && q.Direct.Scenario != nil {
 		sc = *q.Direct.Scenario
 	} else {
 		if q.Scenario == "" {
-			return nil, errf("scenario", "missing scenario name")
+			return errf("scenario", "missing scenario name")
 		}
 		var ok bool
 		sc, ok = scenario.ByName(q.Scenario)
 		if !ok {
-			return nil, errf("scenario", "unknown scenario %q", q.Scenario)
+			return errf("scenario", "unknown scenario %q", q.Scenario)
 		}
 	}
 	diff := q.Diff
-	return &exec{tasks: []task{{label: string(KindScenario), run: func(ctx context.Context) (TaskResult, error) {
+	p.tasks = []task{{label: string(KindScenario), run: func(ctx context.Context, workers int) (TaskResult, error) {
 		res, err := scenario.Run(ctx, sc, workers)
 		if err != nil {
 			return TaskResult{}, err
@@ -814,16 +803,17 @@ func (q *Query) buildScenario(workers int) (*exec, *Error) {
 			report.Diff = &rep
 		}
 		return TaskResult{Scenario: &report, value: res}, nil
-	}}}}, nil
+	}}}
+	return nil
 }
 
-func (q *Query) buildExperiment(workers int) (*exec, *Error) {
+func (q *Query) buildExperiment(p *Plan) *Error {
 	if q.Experiment == "" {
-		return nil, errf("experiment", "missing experiment name")
+		return errf("experiment", "missing experiment name")
 	}
 	e, ok := experiments.ByName(q.Experiment)
 	if !ok {
-		return nil, errf("experiment", "unknown experiment %q", q.Experiment)
+		return errf("experiment", "unknown experiment %q", q.Experiment)
 	}
 	var opt experiments.Options
 	direct := q.Direct != nil && q.Direct.ExperimentOpts != nil
@@ -835,20 +825,21 @@ func (q *Query) buildExperiment(workers int) (*exec, *Error) {
 		if q.Seed != nil {
 			opt.Seed = *q.Seed
 		}
-		opt.Workers = workers
 	}
 	name := q.Experiment
-	return &exec{tasks: []task{{label: string(KindExperiment) + ":" + name, run: func(ctx context.Context) (TaskResult, error) {
+	p.tasks = []task{{label: string(KindExperiment) + ":" + name, run: func(ctx context.Context, workers int) (TaskResult, error) {
 		o := opt
 		if !direct {
 			o.Context = ctx
+			o.Workers = workers
 		}
 		tables, err := e.Run(o)
 		if err != nil {
 			return TaskResult{}, err
 		}
 		return TaskResult{Experiment: &ExperimentReportWire{Name: name, Tables: tables}, value: tables}, nil
-	}}}}, nil
+	}}}
+	return nil
 }
 
 // buildGrid materializes the joint product sweep — losses × payloads × BOs
@@ -858,26 +849,26 @@ func (q *Query) buildExperiment(workers int) (*exec, *Error) {
 // plan is recomputable anywhere from (query, index range) alone. Omitted
 // axes collapse to the base point: a grid over losses only is the batch of
 // evaluations a client would otherwise page by hand.
-func (q *Query) buildGrid(workers int) (*exec, *Error) {
-	base, aerr := q.baseParams(workers, 1)
+func (q *Query) buildGrid(p *Plan) *Error {
+	base, aerr := q.baseParams()
 	if aerr != nil {
-		return nil, aerr
+		return aerr
 	}
 	losses, aerr := q.Losses.Grid("losses", func() []float64 { return []float64{base.PathLossDB} })
 	if aerr != nil {
-		return nil, aerr
+		return aerr
 	}
 	payloads, aerr := q.Payloads.Grid("payloads", func() []int { return []int{base.PayloadBytes} })
 	if aerr != nil {
-		return nil, aerr
+		return aerr
 	}
 	bos, aerr := q.BOs.Grid("bos", func() []int { return []int{int(base.Superframe.BO)} })
 	if aerr != nil {
-		return nil, aerr
+		return aerr
 	}
 	nodes, aerr := q.Nodes.Grid("nodes", func() []int { return nil })
 	if aerr != nil {
-		return nil, aerr
+		return aerr
 	}
 	// nil means "keep the base load"; materialize as one sentinel point.
 	loadFromNodes := nodes != nil
@@ -889,11 +880,11 @@ func (q *Query) buildGrid(workers int) (*exec, *Error) {
 	for _, l := range []int{len(losses), len(payloads), len(bos), len(nodes)} {
 		total *= l
 		if total > MaxGridTasks {
-			return nil, errf("grid", "grid too large (> %d points); page across several queries", MaxGridTasks)
+			return errf("grid", "grid too large (> %d points); page across several queries", MaxGridTasks)
 		}
 	}
 	if total < 1 {
-		return nil, errf("grid", "empty grid")
+		return errf("grid", "empty grid")
 	}
 
 	// Pre-validate each point's parameter set so every error surfaces at
@@ -904,37 +895,38 @@ func (q *Query) buildGrid(workers int) (*exec, *Error) {
 		for _, payload := range payloads {
 			for _, bo := range bos {
 				if bo < 0 || bo > int(mac.MaxBeaconOrder) {
-					return nil, errf("bos", "beacon order %d outside 0..%d", bo, mac.MaxBeaconOrder)
+					return errf("bos", "beacon order %d outside 0..%d", bo, mac.MaxBeaconOrder)
 				}
 				sf, err := mac.NewSuperframe(uint8(bo), base.Superframe.SO)
 				if err != nil {
-					return nil, errf("bos", "bo=%d with base so=%d: %v", bo, base.Superframe.SO, err)
+					return errf("bos", "bo=%d with base so=%d: %v", bo, base.Superframe.SO, err)
 				}
 				for _, n := range nodes {
-					p := base
-					p.PathLossDB = loss
-					p.PayloadBytes = payload
-					p.Superframe = sf
+					pt := base
+					pt.PathLossDB = loss
+					pt.PayloadBytes = payload
+					pt.Superframe = sf
 					label := fmt.Sprintf("grid[%d]:loss=%g,payload=%d,bo=%d", len(tasks), loss, payload, bo)
 					if loadFromNodes {
 						if n < 1 {
-							return nil, errf("nodes", "population %d < 1", n)
+							return errf("nodes", "population %d < 1", n)
 						}
-						p.Load = sf.ChannelLoad(n, frame.PaperPacketDuration(payload))
+						pt.Load = sf.ChannelLoad(n, frame.PaperPacketDuration(payload))
 						label += fmt.Sprintf(",n=%d", n)
 					}
-					if err := p.Validate(); err != nil {
-						return nil, errf("grid", "%s: %v", label, err)
+					if err := pt.Validate(); err != nil {
+						return errf("grid", "%s: %v", label, err)
 					}
-					tasks = append(tasks, evaluateTask(label, p))
+					tasks = append(tasks, evaluateTask(label, pt))
 				}
 			}
 		}
 	}
-	return &exec{tasks: tasks}, nil
+	p.tasks = tasks
+	return nil
 }
 
 // String implements fmt.Stringer with a one-line plan summary.
 func (p *Plan) String() string {
-	return fmt.Sprintf("query plan: kind=%s tasks=%d", p.Kind, len(p.labels))
+	return fmt.Sprintf("query plan: kind=%s tasks=%d", p.Kind, len(p.tasks))
 }

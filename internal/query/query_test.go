@@ -212,7 +212,7 @@ func TestCompileValidatesEagerly(t *testing.T) {
 func TestEvaluateMatchesCore(t *testing.T) {
 	// The spec path must agree with a hand-materialized core call — the
 	// two go through different plumbing (plan task vs direct Evaluate).
-	p, aerr := quickParams().Params(1, 1)
+	p, aerr := quickParams().Params()
 	if aerr != nil {
 		t.Fatal(aerr)
 	}

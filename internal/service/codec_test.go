@@ -54,7 +54,7 @@ func TestFloatRoundTripsBitExactly(t *testing.T) {
 }
 
 func TestParamsWireDefaultsMatchDefaultParams(t *testing.T) {
-	p, aerr := ParamsWire{}.Params(3, 3)
+	p, aerr := ParamsWire{}.Params()
 	if aerr != nil {
 		t.Fatal(aerr)
 	}
@@ -69,15 +69,15 @@ func TestParamsWireDefaultsMatchDefaultParams(t *testing.T) {
 		p.Superframe != want.Superframe {
 		t.Fatalf("wire defaults diverge from DefaultParams:\n%+v\n%+v", p, want)
 	}
-	if p.Workers != 3 {
-		t.Fatalf("Workers = %d, want the granted 3", p.Workers)
+	if p.Workers != want.Workers {
+		t.Fatalf("Workers = %d, want DefaultParams' %d (a plan applies its grant at run time)", p.Workers, want.Workers)
 	}
 	mc, ok := p.Contention.(*contention.MCSource)
 	if !ok {
 		t.Fatalf("contention source is %T, want *MCSource", p.Contention)
 	}
-	if mc.Base.Superframes != 60 || mc.Base.Seed != 2005 || mc.Base.Workers != 3 {
-		t.Fatalf("MC base = %+v, want 60 superframes / seed 2005 / workers 3", mc.Base)
+	if mc.Base.Superframes != 60 || mc.Base.Seed != 2005 || mc.Base.Workers != 1 {
+		t.Fatalf("MC base = %+v, want 60 superframes / seed 2005 / workers 1", mc.Base)
 	}
 	if p.Radio.Name != "CC2420" {
 		t.Fatalf("radio = %q", p.Radio.Name)
@@ -96,7 +96,7 @@ func TestParamsWireOverridesAndErrors(t *testing.T) {
 		Load:         &load,
 		TXLevel:      &tx,
 	}
-	p, aerr := w.Params(1, 1)
+	p, aerr := w.Params()
 	if aerr != nil {
 		t.Fatal(aerr)
 	}
@@ -129,7 +129,7 @@ func TestParamsWireOverridesAndErrors(t *testing.T) {
 		{ParamsWire{WakeupLead: int64p(-5)}, "wakeup_lead_ns"},
 	}
 	for _, tc := range bad {
-		_, aerr := tc.w.Params(1, 1)
+		_, aerr := tc.w.Params()
 		if aerr == nil {
 			t.Errorf("%+v accepted, want error on %s", tc.w, tc.field)
 			continue

@@ -82,7 +82,7 @@ func TestBatchBitIdenticalToInProcess(t *testing.T) {
 	// The same workload computed in process, at a different worker count.
 	ps := make([]core.Params, len(wires))
 	for i, w := range wires {
-		p, aerr := w.Params(1, 1)
+		p, aerr := w.Params()
 		if aerr != nil {
 			t.Fatal(aerr)
 		}
@@ -115,7 +115,7 @@ func TestEvaluateMatchesBatchElement(t *testing.T) {
 	p, aerr := ParamsWire{
 		PayloadBytes: &payload, Load: &load,
 		Contention: &ContentionWire{Superframes: 16, Seed: int64p(7)},
-	}.Params(1, 1)
+	}.Params()
 	if aerr != nil {
 		t.Fatal(aerr)
 	}
@@ -143,7 +143,7 @@ func TestCaseStudyBitIdenticalToInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, aerr := ParamsWire{Contention: &ContentionWire{Superframes: 16, Seed: int64p(7)}}.Params(1, 1)
+	p, aerr := ParamsWire{Contention: &ContentionWire{Superframes: 16, Seed: int64p(7)}}.Params()
 	if aerr != nil {
 		t.Fatal(aerr)
 	}
@@ -213,7 +213,7 @@ func TestBatchStreamingMatchesNonStreaming(t *testing.T) {
 
 	ps := make([]core.Params, len(wires))
 	for i, w := range wires {
-		p, aerr := w.Params(1, 1)
+		p, aerr := w.Params()
 		if aerr != nil {
 			t.Fatal(aerr)
 		}
