@@ -11,7 +11,10 @@
 package dense802154_test
 
 import (
+	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -25,6 +28,7 @@ import (
 	"dense802154/internal/netsim"
 	"dense802154/internal/phy"
 	"dense802154/internal/query"
+	"dense802154/internal/service"
 	"dense802154/internal/store"
 )
 
@@ -438,3 +442,84 @@ func BenchmarkResultSetEncode(b *testing.B) {
 		}
 	}
 }
+
+// hitSetBodies mirrors the wsn-bench suite's stored query set: small
+// /v2/query bodies of the kinds a repeated design-space question asks —
+// one evaluation, a batch, a path-loss sweep, a replica set, a lifetime
+// run and the standard grid.
+var hitSetBodies = []string{
+	`{"kind":"evaluate","params":{"radio":"cc2420-improved","contention":{"source":"approx"},"payload_bytes":60,"load":0.2,"path_loss_db":72.5}}`,
+	`{"kind":"batch","batch":[{"contention":{"source":"approx"},"payload_bytes":20},{"contention":{"source":"approx"},"payload_bytes":100,"superframe":{"bo":8,"so":6}}]}`,
+	`{"kind":"pathloss-sweep","params":{"contention":{"source":"approx"},"payload_bytes":40},"losses":{"from":55,"to":95,"points":9}}`,
+	`{"kind":"replicas","sim":{"nodes":12,"superframes":3,"seed":5},"replicas":3}`,
+	`{"kind":"lifetime","sim":{"nodes":6,"superframes":2,"seed":9},"lifetime":{"capacity_j":0.3,"epoch_superframes":4,"max_epochs":64},"replicas":2}`,
+	`{"kind":"grid","params":{"contention":{"superframes":8,"seed":3}},"losses":{"values":[55,70,85]},"payloads":{"values":[20,100]}}`,
+}
+
+// BenchmarkQueryDecode mirrors the wsn-bench suite's QueryDecode workload:
+// the lean request decoder over the stored query set, one pass per op.
+func BenchmarkQueryDecode(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, body := range hitSetBodies {
+			if _, err := query.DecodeQuery([]byte(body)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// hitWriter is a ResponseWriter that keeps nothing, so an in-process
+// ServeHTTP loop over it measures the server alone.
+type hitWriter struct{ header http.Header }
+
+func (w *hitWriter) Header() http.Header         { return w.header }
+func (w *hitWriter) WriteHeader(int)             {}
+func (w *hitWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// rewindBody is a request body served again on every request.
+type rewindBody struct{ *bytes.Reader }
+
+func (rewindBody) Close() error { return nil }
+
+// benchQueryHit stores the query set through route, then measures one
+// in-process ServeHTTP pass over it per op: every request a whole-query
+// store hit.
+func benchQueryHit(b *testing.B, route string) {
+	b.ReportAllocs()
+	st, err := store.New(store.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := service.NewServer(service.Config{Workers: 1, Store: st})
+	w := &hitWriter{header: http.Header{}}
+	rd := bytes.NewReader(nil)
+	body := rewindBody{rd}
+	r := httptest.NewRequest(http.MethodPost, route, nil)
+	pass := func() {
+		for _, q := range hitSetBodies {
+			rd.Reset([]byte(q))
+			r.Body = body
+			clear(w.header)
+			srv.ServeHTTP(w, r)
+		}
+	}
+	pass()
+	hits0 := store.HitsTotal.Value()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.StopTimer()
+	if got, want := store.HitsTotal.Value()-hits0, uint64(b.N*len(hitSetBodies)); got != want {
+		b.Fatalf("%d store hits, want %d", got, want)
+	}
+}
+
+// BenchmarkQueryHit mirrors the wsn-bench suite's QueryHit workload: a
+// pass of /v2/query store hits over the stored set.
+func BenchmarkQueryHit(b *testing.B) { benchQueryHit(b, "/v2/query") }
+
+// BenchmarkQueryHitStream mirrors the wsn-bench suite's QueryHitStream
+// workload: the same pass on /v2/query/stream, replayed from spans.
+func BenchmarkQueryHitStream(b *testing.B) { benchQueryHit(b, "/v2/query/stream") }

@@ -24,10 +24,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"regexp"
 	"runtime"
@@ -44,6 +47,7 @@ import (
 	"dense802154/internal/lifetime"
 	"dense802154/internal/netsim"
 	"dense802154/internal/query"
+	"dense802154/internal/service"
 	"dense802154/internal/store"
 )
 
@@ -287,6 +291,20 @@ func suite(quick bool) []namedBench {
 				}
 			}
 		}},
+		{"QueryDecode", func(b *testing.B) {
+			// The lean request decoder over the stored query set, one pass
+			// per op.
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, body := range hitSetBodies {
+					if _, err := query.DecodeQuery([]byte(body)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}},
+		{"QueryHit", func(b *testing.B) { benchQueryHit(b, "/v2/query") }},
+		{"QueryHitStream", func(b *testing.B) { benchQueryHit(b, "/v2/query/stream") }},
 		{"ResultSetEncode", func(b *testing.B) {
 			// Execute with a TaskStore attached plus ResultSet.Encode — the
 			// execute-and-encode half of a /v2/query sweep answer (a
@@ -356,6 +374,65 @@ func storeBenchQuery() query.Query {
 		Params:   &query.ParamsWire{Contention: &query.ContentionWire{Superframes: 8, Seed: &seed}},
 		Losses:   &query.Axis{Values: []query.Float{55, 70, 85}},
 		Payloads: &query.IntAxis{Values: []int{20, 100}},
+	}
+}
+
+// hitSetBodies is the stored query set of the QueryDecode and QueryHit
+// workloads: small /v2/query bodies of the kinds a repeated design-space
+// question asks.
+var hitSetBodies = []string{
+	`{"kind":"evaluate","params":{"radio":"cc2420-improved","contention":{"source":"approx"},"payload_bytes":60,"load":0.2,"path_loss_db":72.5}}`,
+	`{"kind":"batch","batch":[{"contention":{"source":"approx"},"payload_bytes":20},{"contention":{"source":"approx"},"payload_bytes":100,"superframe":{"bo":8,"so":6}}]}`,
+	`{"kind":"pathloss-sweep","params":{"contention":{"source":"approx"},"payload_bytes":40},"losses":{"from":55,"to":95,"points":9}}`,
+	`{"kind":"replicas","sim":{"nodes":12,"superframes":3,"seed":5},"replicas":3}`,
+	`{"kind":"lifetime","sim":{"nodes":6,"superframes":2,"seed":9},"lifetime":{"capacity_j":0.3,"epoch_superframes":4,"max_epochs":64},"replicas":2}`,
+	`{"kind":"grid","params":{"contention":{"superframes":8,"seed":3}},"losses":{"values":[55,70,85]},"payloads":{"values":[20,100]}}`,
+}
+
+// hitWriter is a ResponseWriter that keeps nothing, so an in-process
+// ServeHTTP loop over it measures the server alone.
+type hitWriter struct{ header http.Header }
+
+func (w *hitWriter) Header() http.Header         { return w.header }
+func (w *hitWriter) WriteHeader(int)             {}
+func (w *hitWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// rewindBody is a request body served again on every request.
+type rewindBody struct{ *bytes.Reader }
+
+func (rewindBody) Close() error { return nil }
+
+// benchQueryHit stores the query set through route, then measures one
+// in-process ServeHTTP pass over it per op: every request a whole-query
+// store hit (body read and decode, key, lookup, write, request accounting).
+func benchQueryHit(b *testing.B, route string) {
+	b.ReportAllocs()
+	st, err := store.New(store.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := service.NewServer(service.Config{Workers: 1, Store: st})
+	w := &hitWriter{header: http.Header{}}
+	rd := bytes.NewReader(nil)
+	body := rewindBody{rd}
+	r := httptest.NewRequest(http.MethodPost, route, nil)
+	pass := func() {
+		for _, q := range hitSetBodies {
+			rd.Reset([]byte(q))
+			r.Body = body
+			clear(w.header)
+			srv.ServeHTTP(w, r)
+		}
+	}
+	pass()
+	hits0 := store.HitsTotal.Value()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.StopTimer()
+	if got, want := store.HitsTotal.Value()-hits0, uint64(b.N*len(hitSetBodies)); got != want {
+		b.Fatalf("%d store hits, want %d", got, want)
 	}
 }
 

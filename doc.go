@@ -182,10 +182,10 @@
 // makes every result reusable: a plan task's bytes are a pure function of
 // (query, index), so internal/store addresses them by content. The key is
 // the SHA-256 of the query's canonical encoding — a normalized, byte-stable
-// JSON form in which the execution-only fields (workers, trace,
-// timeout_ms) are zeroed, so two queries share a cache line exactly when
-// they describe the same computation, regardless of how parallel either
-// run was. Under each query key the store holds the encoded per-task
+// JSON form in which the execution-only fields (workers, including
+// params.workers and batch[i].workers, trace, timeout_ms) are left out, so
+// two queries share a cache line exactly when they describe the same
+// computation, regardless of how parallel either run was. Under each query key the store holds the encoded per-task
 // results and, for untraced queries, the full encoded ResultSet. In memory
 // the two share bytes: storing a computed ResultSet re-points each of its
 // task entries at that task's element inside the body (the encoder reports
@@ -212,6 +212,34 @@
 //     /v2/tasks handler serves cached task lines without recomputing.
 //     Workers sharing a store directory make the fleet one shared shard
 //     cache: any machine's past work answers any machine's future query.
+//
+// # Request path
+//
+// A /v2/query or /v2/query/stream request is read once into a pooled
+// buffer and decoded by query.DecodeQuery, a hand-written strict decoder:
+// it accepts exactly the bodies encoding/json accepts into a Query (unknown
+// fields and trailing data are 400s, names match case-insensitively,
+// wire.Float fields take the "NaN"/"+Inf" strings through the one
+// wire.ParseFloat rule) and builds the same value, without reflection.
+// FuzzQueryDecode holds it to encoding/json differentially. The server then
+// keys the query (Query.Canonical is an append encoder, hashed in a stack
+// buffer) and looks up the whole-query store before anything compiles. A
+// hit is answered in one write: the stored body on /v2/query, and on the
+// stream route the body's task elements as lines plus its summaries as the
+// done line, cut from the spans kept beside the body (recovered by a scan
+// for a body read back from disk). Only a compiled query is ever stored,
+// so a hit needs only the checks the key leaves out: version and
+// timeout_ms, validated as Compile validates them. Hits count in
+// wsn_query_total and wsn_query_tasks_total like compiled queries, by the
+// task count of the stored spans. A miss compiles, executes with the
+// per-task store view of the same key, and stores the answer.
+//
+// The v1 routes and /v2/tasks still decode with encoding/json: their
+// request types (the v1 bodies, dist.TaskRequest) are other shapes, their
+// bytes are frozen or fleet-internal, and they always compile and execute,
+// so reflective decoding is a small share of their cost. Their trailing
+// data check reads the rest of the body: anything but whitespace after the
+// value is a 400.
 //
 // Scenario and experiment queries are excluded (their wire encoding
 // is not exact under re-encoding); traced queries bypass the whole-query
@@ -428,8 +456,8 @@
 // hot-path micro-benchmarks) and writes a JSON report of ns/op, B/op and
 // allocs/op per benchmark:
 //
-//	go run ./cmd/wsn-bench -out BENCH_PR16.json   # refresh the baseline
-//	go run ./cmd/wsn-bench -diff BENCH_PR16.json  # compare a fresh run
+//	go run ./cmd/wsn-bench -out BENCH_PR17.json   # refresh the baseline
+//	go run ./cmd/wsn-bench -diff BENCH_PR17.json  # compare a fresh run
 //
 // The committed BENCH_*.json files form the repository's performance
 // trajectory; CI regenerates a -quick report per push and diffs it against

@@ -130,6 +130,32 @@ func AppendStreamDone(b []byte, count int, rs *ResultSet) []byte {
 	return append(appendSummaries(b, rs), "}\n"...)
 }
 
+// AppendStreamReplay appends the NDJSON stream of a stored ResultSet body,
+// byte for byte what /v2/query/stream writes for a fresh execution of its
+// query: each task element spans locates (ResultSet.EncodeSpans,
+// ResultSpans) as a line, then the done line — whose count is the number of
+// elements, and whose summaries are the body's own bytes after the results
+// array (appendSummaries wrote both). ok is false when spans do not end at
+// the close of a results array.
+func AppendStreamReplay(dst, body []byte, spans []TaskSpan) ([]byte, bool) {
+	n := len(spans)
+	if n == 0 || !bytes.HasSuffix(body, []byte("}\n")) {
+		return dst, false
+	}
+	tail := spans[n-1].End
+	if tail < 0 || tail >= len(body)-2 || body[tail] != ']' {
+		return dst, false
+	}
+	for _, sp := range spans {
+		if sp.Start < 0 || sp.Start > sp.End || sp.End > tail {
+			return dst, false
+		}
+		dst = append(append(dst, body[sp.Start:sp.End]...), '\n')
+	}
+	dst = strconv.AppendInt(append(dst, `{"done":true,"count":`...), int64(n), 10)
+	return append(dst, body[tail+1:]...), true
+}
+
 // appendSummaries appends the optional summary, lifetime_summary and trace
 // members shared by the ResultSet and the stream done line.
 func appendSummaries(b []byte, rs *ResultSet) []byte {

@@ -258,7 +258,7 @@ var builders = map[Kind]func(*Query, *Plan) *Error{
 // scheduled. Validation failures return a field-scoped *Error suitable for
 // a structured 400.
 func Compile(q Query) (*Plan, error) {
-	if aerr := q.validateShape(); aerr != nil {
+	if aerr := q.ValidateShape(); aerr != nil {
 		return nil, aerr
 	}
 	// A timeout_ms past ~292 years would overflow the Duration multiply;

@@ -362,8 +362,15 @@ var allowedFields = map[Kind][]string{
 	KindGrid:          {"params", "losses", "payloads", "bos", "nodes"},
 }
 
-// validateShape checks version, kind and kind/field compatibility.
-func (q *Query) validateShape() *Error {
+// ValidateShape checks version, timeout_ms, kind and kind/field
+// compatibility — Compile's first step. It is also all the validation a
+// whole-query store hit needs (internal/service): two queries with one key
+// differ at most in what Canonical leaves out — version and timeout_ms,
+// checked here; workers and trace, which take any value — and in a present
+// but empty batch, which encodes like an absent one and is caught here by
+// the field check. A query that passes therefore answers exactly as the
+// stored, compiled query of its key did.
+func (q *Query) ValidateShape() *Error {
 	if q.Version != 0 && q.Version != Version {
 		return errf("version", "unsupported version %d (want %d, or omit)", q.Version, Version)
 	}

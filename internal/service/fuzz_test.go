@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
+	"reflect"
 	"testing"
 
 	"dense802154/internal/query"
@@ -20,17 +22,99 @@ import (
 //	go test ./internal/service -fuzz FuzzParamsWireDecode -fuzztime 30s
 
 // strictDecode mirrors decodeJSON's settings (unknown-field rejection,
-// trailing-garbage detection) without the HTTP plumbing.
+// trailing-garbage detection: nothing but whitespace may follow the value)
+// without the HTTP plumbing.
 func strictDecode(data []byte, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
+	rd := bytes.NewReader(data)
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return err
 	}
-	if dec.More() {
+	rest, _ := io.ReadAll(io.MultiReader(dec.Buffered(), rd))
+	if len(bytes.TrimLeft(rest, " \t\r\n")) > 0 {
 		return errTrailing
 	}
 	return nil
+}
+
+// referenceDecodeQuery is the reflective decode /v2/query answered with
+// before query.DecodeQuery: strictDecode, with an empty or whitespace-only
+// body decoding to the zero Query (decodeJSON's rule).
+func referenceDecodeQuery(data []byte) (query.Query, error) {
+	var q query.Query
+	if err := strictDecode(data, &q); err != nil && !errors.Is(err, io.EOF) {
+		return query.Query{}, err
+	}
+	return q, nil
+}
+
+// referenceCanonical is the encoding/json form Query.Canonical is pinned
+// to: the query with every key-neutral field zeroed (the nested params and
+// batch workers included) and version set, encoded compact with HTML
+// escaping off and a trailing newline.
+func referenceCanonical(q query.Query) []byte {
+	q.Version = query.Version
+	q.Workers, q.Trace, q.TimeoutMS = 0, false, 0
+	if q.Params != nil {
+		p := *q.Params
+		p.Workers = 0
+		q.Params = &p
+	}
+	if q.Batch != nil {
+		q.Batch = append([]query.ParamsWire{}, q.Batch...)
+		for i := range q.Batch {
+			q.Batch[i].Workers = 0
+		}
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(q); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// sameValue reports whether a and b are structurally equal: as
+// reflect.DeepEqual, except that floats compare by their bits (so NaN
+// equals NaN) — nil and empty slices stay distinct.
+func sameValue(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameValue(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameValue(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameValue(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.String:
+		return a.String() == b.String()
+	case reflect.Bool:
+		return a.Bool() == b.Bool()
+	case reflect.Int, reflect.Int64:
+		return a.Int() == b.Int()
+	case reflect.Uint8:
+		return a.Uint() == b.Uint()
+	}
+	panic("sameValue: unhandled kind " + a.Kind().String())
 }
 
 var errTrailing = &Error{Message: "trailing data"}
@@ -151,10 +235,17 @@ func FuzzSimConfigWireDecode(f *testing.F) {
 	})
 }
 
-// FuzzQueryDecode: the v2 unified-query decoder must never panic, must
-// reject NaN/Inf grid inputs and unknown kinds with structured errors, and
-// any body it compiles must have materialized every spec into validated
-// model inputs (Compile runs the full builder chain).
+// FuzzQueryDecode: the v2 unified-query decoder (query.DecodeQuery) must
+// agree with the reflective reference (referenceDecodeQuery) on every
+// input — both accept or both reject, and an accepted body decodes to the
+// same value — and must never panic. Query.Canonical must equal the
+// encoding/json reference form. Accepted queries must reject NaN/Inf grid
+// inputs and unknown kinds with structured errors, and any body that
+// compiles must have materialized every spec into validated model inputs
+// (Compile runs the full builder chain). Run it differentially for longer
+// with
+//
+//	go test ./internal/service -run '^$' -fuzz FuzzQueryDecode -fuzztime 60s
 func FuzzQueryDecode(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
@@ -203,27 +294,67 @@ func FuzzQueryDecode(f *testing.F) {
 		`{"kind":"evaluate","trace":true}`,
 		`{"kind":"evaluate","workers":4,"trace":true,"timeout_ms":60000}`,
 		`{"version":2,"kind":"grid","losses":{"values":[55,70]},"workers":16,"trace":true}`,
+		`{"kind":"evaluate","params":{"contention":{"source":"approx"}}}}`,
+		`{"kind":"evaluate"}]`,
+		`{"kind":"evaluate","params":{"radio":"cc2420","workers":2}}`,
+		`{"kind":"batch","batch":[{"workers":3},{"payload_bytes":20,"workers":1}]}`,
+		`{"KIND":"evaluate","Params":{"LOAD":"+Inf"}}`,
+		`{"kind":"evaluate","params":{"radio":"cc2420"},"params":{"ber":"awgn"}}`,
+		`{"kind":"batch","batch":[{"radio":"cc2420"},{"ber":"awgn"}],"batch":[{}]}`,
+		`{"kind":"payload-sweep","payloads":{"values":[1,2,3]},"payloads":{"values":[4]},"payloads":{"values":[null,null,null]}}`,
+		`{"kind":"evaluate","params":null,"replicas":null,"seed":null}`,
+		`{"kind":"evaluate","batch":[]}`,
+		`{"kind":"grid","bos":{"values":[6.0]}}`,
+		`{"kind":"grid","params":{"superframe":{"bo":256,"so":-0}}}`,
+		`{"kind":"evaluate\u00e9\ud800\udc00\udfff"}`,
+		"{\"scenario\":\"\xff\xed\xa0\x80\",\"kind\":\"scenario\"}",
+		`null`,
+		" \t\r\n",
+		``,
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var q query.Query
-		if err := strictDecode(data, &q); err != nil {
+		want, werr := referenceDecodeQuery(data)
+		q, err := query.DecodeQuery(data)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("decoders disagree on %q: DecodeQuery %v, encoding/json %v", data, err, werr)
+		}
+		if err != nil {
 			return // rejection is fine; panics are not
 		}
+		if !sameValue(reflect.ValueOf(q), reflect.ValueOf(want)) {
+			t.Fatalf("decoders disagree on %q:\n DecodeQuery   %#v\n encoding/json %#v", data, q, want)
+		}
 		// Content-key stability (internal/store leans on this): the
-		// canonical form is deterministic, and the key-neutral fields —
-		// workers, trace, timeout_ms — never change it or the derived key.
+		// canonical form is deterministic, equals the encoding/json
+		// reference, and the key-neutral fields — workers (top-level,
+		// params and batch elements), trace, timeout_ms — never change it
+		// or the derived key.
 		can1, ok1 := q.Canonical()
 		can2, ok2 := q.Canonical()
 		if ok1 != ok2 || !bytes.Equal(can1, can2) {
 			t.Fatalf("canonical form of %q not deterministic", data)
 		}
 		if ok1 {
+			if ref := referenceCanonical(q); !bytes.Equal(can1, ref) {
+				t.Fatalf("canonical form of %q deviates from encoding/json:\n got %s\nwant %s", data, can1, ref)
+			}
 			neutral := q
 			neutral.Workers = q.Workers + 3
 			neutral.Trace = !q.Trace
 			neutral.TimeoutMS = q.TimeoutMS + 1000
+			if q.Params != nil {
+				p := *q.Params
+				p.Workers += 5
+				neutral.Params = &p
+			}
+			if q.Batch != nil {
+				neutral.Batch = append([]query.ParamsWire{}, q.Batch...)
+				for i := range neutral.Batch {
+					neutral.Batch[i].Workers += i + 1
+				}
+			}
 			can3, ok3 := neutral.Canonical()
 			if !ok3 || !bytes.Equal(can1, can3) {
 				t.Fatalf("key-neutral fields changed the canonical form of %q", data)
@@ -235,6 +366,18 @@ func FuzzQueryDecode(f *testing.F) {
 			}
 		}
 		plan, err := query.Compile(q)
+		if ok1 {
+			// A whole-query store hit stands in for Compile after the shape
+			// check: a query compiles exactly when it passes ValidateShape
+			// and the query its canonical bytes spell compiles.
+			keyed, kerr := query.DecodeQuery(can1)
+			if kerr == nil {
+				_, kerr = query.Compile(keyed)
+			}
+			if hit := q.ValidateShape() == nil && kerr == nil; hit != (err == nil) {
+				t.Fatalf("%q: Compile error %v, but shape check plus its key's query gives %v", data, err, hit)
+			}
+		}
 		if err != nil {
 			var aerr *Error
 			if errors.As(err, &aerr) && aerr.Message == "" {

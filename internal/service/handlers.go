@@ -34,7 +34,7 @@ func (s *Server) compileV1(w http.ResponseWriter, q query.Query, rename func(fie
 		writeCompileError(w, err)
 		return nil, false
 	}
-	s.countQuery(plan)
+	s.countQuery(plan.Kind, plan.NumTasks())
 	return plan, true
 }
 
@@ -42,7 +42,7 @@ func (s *Server) compileV1(w http.ResponseWriter, q query.Query, rename func(fie
 // other failure with status failure (400 for the model routes, 500 for the
 // experiment and scenario drivers).
 func (s *Server) execV1(w http.ResponseWriter, r *http.Request, q query.Query, plan *query.Plan, failure int) (*query.ResultSet, bool) {
-	rs, ok, err := s.execute(w, r, q, plan, nil, nil)
+	rs, ok, err := s.execute(w, r, q, plan, s.taskStore(s.queryKey(q)), nil, nil)
 	if !ok {
 		return nil, false
 	}
@@ -167,7 +167,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	count := 0
-	_, ok, err := s.execute(w, r, q, plan, func() { startStream(w) }, func(tr query.TaskResult) error {
+	_, ok, err := s.execute(w, r, q, plan, s.taskStore(s.queryKey(q)), func() { startStream(w) }, func(tr query.TaskResult) error {
 		if err := enc.Encode(batchLine{Index: &tr.Index, Metrics: tr.Metrics}); err != nil {
 			return err // client went away; execution cancels the rest
 		}

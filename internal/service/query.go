@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"dense802154/internal/query"
 	"dense802154/internal/store"
@@ -21,19 +24,51 @@ import (
 // acquires tokens before computing, so any number of clients shares the
 // server budget.
 
-// decodeQuery parses and compiles the request body; errors are rendered as
-// structured 400s.
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (query.Query, *query.Plan, bool) {
-	var q query.Query
-	if !decodeJSON(w, r, &q) {
-		return query.Query{}, nil, false
+// decodeQuery reads the request body and decodes it with the lean Query
+// decoder (query.DecodeQuery), then runs the shape check of Compile
+// (query.Query.ValidateShape) — the part of Compile's validation a
+// whole-query store hit cannot stand in for. Failures are answered as
+// structured 400s (413 for an oversized body).
+func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (query.Query, bool) {
+	buf := bodyBuffers.Get().(*bytes.Buffer)
+	defer putBodyBuffer(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(r.Body); err != nil {
+		writeBodyError(w, err)
+		return query.Query{}, false
 	}
+	q, err := query.DecodeQuery(buf.Bytes())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error(), "")
+		return query.Query{}, false
+	}
+	if aerr := q.ValidateShape(); aerr != nil {
+		writeValidationError(w, aerr)
+		return query.Query{}, false
+	}
+	return q, true
+}
+
+// bodyBuffers recycles request-body buffers across /v2/query requests;
+// the decoded Query copies what it keeps.
+var bodyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putBodyBuffer returns buf to the pool unless an outsized body grew it.
+func putBodyBuffer(buf *bytes.Buffer) {
+	if buf.Cap() <= 64<<10 {
+		bodyBuffers.Put(buf)
+	}
+}
+
+// compile compiles a decoded query; a failure is answered as a structured
+// 400.
+func compile(w http.ResponseWriter, q query.Query) (*query.Plan, bool) {
 	plan, err := query.Compile(q)
 	if err != nil {
 		writeCompileError(w, err)
-		return query.Query{}, nil, false
+		return nil, false
 	}
-	return q, plan, true
+	return plan, true
 }
 
 // writeCompileError renders a query.Compile failure as a structured 400.
@@ -46,11 +81,11 @@ func writeCompileError(w http.ResponseWriter, err error) {
 	}
 }
 
-// countQuery records an accepted (compiled) query — v1 or v2 — in the
-// per-kind and task-volume counters.
-func (s *Server) countQuery(plan *query.Plan) {
-	s.queryKinds.With(string(plan.Kind)).Inc()
-	s.queryTasks.Add(uint64(plan.NumTasks()))
+// countQuery records an accepted query — v1 or v2, computed or answered
+// from the store — in the per-kind and task-volume counters.
+func (s *Server) countQuery(kind query.Kind, tasks int) {
+	s.queryKinds.With(string(kind)).Inc()
+	s.queryTasks.Add(uint64(tasks))
 }
 
 // queryContext applies the server's per-query deadline (Config.QueryTimeout)
@@ -63,28 +98,43 @@ func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelF
 	return context.WithCancel(r.Context())
 }
 
-// resultKey returns the whole-query store key of q when its response bytes
-// are cacheable: a store is configured, the query has a canonical wire form
-// (no Direct inputs) and tracing is off — traces carry measured wall times,
-// which are never part of result bytes, so a traced query bypasses the
-// whole-query cache entirely (its per-task results still flow through the
-// plan-level store, which holds no trace data). Whole entries are put with
-// their task spans (ResultSet.EncodeSpans), so in memory a query's whole
-// entry and its task entries share one copy of the bytes.
-func (s *Server) resultKey(q query.Query) (store.Key, bool) {
-	if s.cfg.Store == nil || q.Trace {
+// queryKey derives q's store key, once per request: the whole-query entry
+// and the per-task view both use it. keyed is false without a store or for
+// a query with no canonical form (Direct inputs).
+func (s *Server) queryKey(q query.Query) (store.Key, bool) {
+	if s.cfg.Store == nil {
 		return store.Key{}, false
 	}
 	return store.KeyFor(q)
 }
 
-// attachStore wires the per-task result store into a compiled plan so
-// execution reuses stored tasks and persists computed ones. Tasks does its
-// own cacheability gating (nil for Direct queries).
-func (s *Server) attachStore(q query.Query, plan *query.Plan) {
-	if s.cfg.Store != nil {
-		plan.Store = s.cfg.Store.Tasks(q)
+// taskStore is the per-task store view of a keyed query, attached to its
+// plan so execution reuses stored tasks and persists computed ones (nil
+// when keyed is false).
+func (s *Server) taskStore(key store.Key, keyed bool) query.TaskStore {
+	if !keyed {
+		return nil
 	}
+	return s.cfg.Store.TasksByKey(key)
+}
+
+// storedResult looks up the whole-query store entry of a decoded query,
+// before anything compiles it. A traced query bypasses the whole-query
+// store — traces carry measured wall times, which are never part of result
+// bytes — though its per-task results still flow through the plan-level
+// store. Only a compiled query is ever stored, and decodeQuery has run the
+// shape check, which covers what the key leaves out, so a hit answers the
+// query as Compile and Execute would. Its spans give the task count the
+// query is counted with.
+func (s *Server) storedResult(q query.Query, key store.Key, keyed bool) ([]byte, []query.TaskSpan, bool) {
+	if !keyed || q.Trace {
+		return nil, nil, false
+	}
+	body, spans, ok := s.cfg.Store.GetResultSpans(key)
+	if !ok || len(spans) == 0 {
+		return nil, nil, false
+	}
+	return body, spans, true
 }
 
 // execQuery runs a compiled plan through the configured Distributor when one
@@ -108,13 +158,13 @@ func (s *Server) acquireWorkers(w http.ResponseWriter, r *http.Request, want int
 }
 
 // execute is the one execution path of every compute route, v1 and v2: it
-// attaches the per-task result store, takes worker tokens under the request
-// context, applies Config.QueryTimeout and runs the plan through execQuery.
-// started, when non-nil, runs once the tokens are held and before any task,
-// so a stream can commit its headers. ok is false when the token
-// acquisition failed; that 503 is already written.
-func (s *Server) execute(w http.ResponseWriter, r *http.Request, q query.Query, plan *query.Plan, started func(), yield func(query.TaskResult) error) (rs *query.ResultSet, ok bool, err error) {
-	s.attachStore(q, plan)
+// attaches the per-task result store view tasks, takes worker tokens under
+// the request context, applies Config.QueryTimeout and runs the plan
+// through execQuery. started, when non-nil, runs once the tokens are held
+// and before any task, so a stream can commit its headers. ok is false
+// when the token acquisition failed; that 503 is already written.
+func (s *Server) execute(w http.ResponseWriter, r *http.Request, q query.Query, plan *query.Plan, tasks query.TaskStore, started func(), yield func(query.TaskResult) error) (rs *query.ResultSet, ok bool, err error) {
+	plan.Store = tasks
 	got, release, ok := s.acquireWorkers(w, r, q.Workers)
 	if !ok {
 		return nil, false, nil
@@ -130,24 +180,26 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, q query.Query, 
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, plan, ok := s.decodeQuery(w, r)
+	q, ok := s.decodeQuery(w, r)
 	if !ok {
 		return
 	}
-	s.countQuery(plan)
-	// A whole-query store hit is served before any worker token is taken:
-	// the stored bytes are the exact bytes a previous identical query
-	// answered with, so the hit path is O(1) and executes nothing.
-	key, cacheable := s.resultKey(q)
-	if cacheable {
-		if body, ok := s.cfg.Store.GetResult(key); ok {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(body)
-			return
-		}
+	// A whole-query store hit is served before anything compiles and before
+	// any worker token is taken: the stored bytes are the exact bytes a
+	// previous identical query answered with, so the hit path executes
+	// nothing.
+	key, keyed := s.queryKey(q)
+	if body, spans, ok := s.storedResult(q, key, keyed); ok {
+		s.countQuery(q.Kind, len(spans))
+		writeBody(w, "application/json", body)
+		return
 	}
-	rs, ok, err := s.execute(w, r, q, plan, nil, nil)
+	plan, ok := compile(w, q)
+	if !ok {
+		return
+	}
+	s.countQuery(plan.Kind, plan.NumTasks())
+	rs, ok, err := s.execute(w, r, q, plan, s.taskStore(key, keyed), nil, nil)
 	if !ok {
 		return
 	}
@@ -160,61 +212,40 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error(), "")
 		return
 	}
-	if cacheable {
+	if keyed && !q.Trace {
 		s.cfg.Store.PutResult(key, body, spans...)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
-}
-
-// writeStreamFromResult replays a stored ResultSet body as the NDJSON stream
-// a fresh execution would produce: one line per task in plan order, then the
-// done line (query.AppendStreamDone). A ResultSet's elements are exactly the
-// task lines without their newline, so the stored element bytes are written
-// as they are. Returns false — without having written anything — when the
-// stored bytes do not decode, so the caller falls through to a fresh
-// computation.
-func (s *Server) writeStreamFromResult(w http.ResponseWriter, body []byte) bool {
-	var stored struct {
-		Results         []json.RawMessage          `json:"results"`
-		Summary         *query.ReplicaSummaryWire  `json:"summary"`
-		LifetimeSummary *query.LifetimeSummaryWire `json:"lifetime_summary"`
-	}
-	if err := json.Unmarshal(body, &stored); err != nil {
-		return false
-	}
-	startStream(w)
-	flusher, _ := w.(http.Flusher)
-	var buf []byte
-	for _, line := range stored.Results {
-		buf = append(append(buf[:0], line...), '\n')
-		if _, err := w.Write(buf); err != nil {
-			return true // client went away mid-replay
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	done := &query.ResultSet{Summary: stored.Summary, LifetimeSummary: stored.LifetimeSummary}
-	_, _ = w.Write(query.AppendStreamDone(nil, len(stored.Results), done))
-	return true
+	writeBody(w, "application/json", body)
 }
 
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	q, plan, ok := s.decodeQuery(w, r)
+	q, ok := s.decodeQuery(w, r)
 	if !ok {
 		return
 	}
-	s.countQuery(plan)
-	// A stored whole-query body replays as the stream without executing
-	// anything — gated on kinds whose elements re-encode byte-identically.
-	key, cacheable := s.resultKey(q)
-	if cacheable && q.Kind.WireExact() {
-		if body, ok := s.cfg.Store.GetResult(key); ok && s.writeStreamFromResult(w, body) {
-			return
+	// A stored whole-query body replays as the stream without compiling or
+	// executing anything, in one write: its task elements are the stream's
+	// lines, and its summaries close the done line. Gated on kinds whose
+	// elements re-encode byte-identically.
+	key, keyed := s.queryKey(q)
+	if q.Kind.WireExact() {
+		if body, spans, ok := s.storedResult(q, key, keyed); ok {
+			buf := bodyBuffers.Get().(*bytes.Buffer)
+			defer putBodyBuffer(buf)
+			buf.Reset()
+			buf.Grow(len(body) + 64) // the stream is the body's bytes, re-punctuated
+			if stream, ok := query.AppendStreamReplay(buf.AvailableBuffer(), body, spans); ok {
+				s.countQuery(q.Kind, len(spans))
+				writeBody(w, "application/x-ndjson", stream)
+				return
+			}
 		}
 	}
+	plan, ok := compile(w, q)
+	if !ok {
+		return
+	}
+	s.countQuery(plan.Kind, plan.NumTasks())
 	// The per-task store execute attaches is also what makes interrupted
 	// streams resumable: every task computed before a disconnect was
 	// persisted, so the retried stream reuses them and recomputes only the
@@ -222,7 +253,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	count := 0
 	var encodeErr error
-	rs, ok, err := s.execute(w, r, q, plan, func() { startStream(w) }, func(tr query.TaskResult) error {
+	rs, ok, err := s.execute(w, r, q, plan, s.taskStore(key, keyed), func() { startStream(w) }, func(tr query.TaskResult) error {
 		// The line is the one the plan's worker already encoded for the
 		// task store; EncodeTaskResult only encodes when there is none.
 		line, err := query.EncodeTaskResult(tr)
@@ -257,12 +288,22 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if cacheable {
+	if keyed && !q.Trace {
 		if body, spans, err := rs.EncodeSpans(); err == nil {
 			s.cfg.Store.PutResult(key, body, spans...)
 		}
 	}
 	_, _ = w.Write(query.AppendStreamDone(nil, count, rs))
+}
+
+// writeBody answers 200 with a complete body in one write. The length
+// goes in the headers, so the body is not chunked.
+func writeBody(w http.ResponseWriter, contentType string, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", contentType)
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // startStream commits the 200 headers of an NDJSON response.

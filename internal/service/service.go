@@ -634,7 +634,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // decodeJSON parses the request body into dst with strict field checking.
 // An empty body leaves dst at its zero value (every request type has full
 // defaults). Malformed payloads, unknown fields and trailing garbage are
-// 400s; an oversized body is a 413.
+// 400s; an oversized body is a 413. The /v2/query routes decode with
+// query.DecodeQuery instead (see decodeQuery), to the same rules.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -642,18 +643,53 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 		if errors.Is(err, io.EOF) {
 			return true // empty body: all defaults
 		}
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds "+strconv.FormatInt(maxErr.Limit, 10)+" bytes", "")
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error(), "")
+		writeBodyError(w, err)
 		return false
 	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "trailing data after JSON body", "")
+	// Decode stops at the end of the value. Anything after it but
+	// whitespace is trailing data — dec.More() would miss a stray '}' or
+	// ']', so the rest of the body is read.
+	if err := onlySpace(io.MultiReader(dec.Buffered(), r.Body)); err != nil {
+		if errors.Is(err, errTrailingData) {
+			writeError(w, http.StatusBadRequest, err.Error(), "")
+		} else {
+			writeBodyError(w, err)
+		}
 		return false
 	}
 	return true
+}
+
+var errTrailingData = errors.New("trailing data after JSON body")
+
+// onlySpace reads rd to its end: nil when it held nothing but JSON
+// whitespace, errTrailingData at the first other byte, or the read error.
+func onlySpace(rd io.Reader) error {
+	var buf [512]byte
+	for {
+		n, err := rd.Read(buf[:])
+		for _, c := range buf[:n] {
+			if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+				return errTrailingData
+			}
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// writeBodyError answers a request body that failed to read or decode: a
+// 413 past the body cap (Config.MaxBodyBytes), a 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			"request body exceeds "+strconv.FormatInt(maxErr.Limit, 10)+" bytes", "")
+		return
+	}
+	writeError(w, http.StatusBadRequest, "malformed request: "+err.Error(), "")
 }

@@ -254,6 +254,13 @@ func TestMalformedPayloadsAre400s(t *testing.T) {
 		{"unknown experiment", "/v1/experiments/fig99", `{}`, http.StatusNotFound, "name"},
 		{"NaN loss", "/v1/sweep/pathloss", `{"losses":["NaN",70]}`, http.StatusBadRequest, "losses"},
 		{"infinite loss", "/v1/sweep/thresholds", `{"losses":["+Inf"]}`, http.StatusBadRequest, "losses"},
+		// A stray close after the value is trailing data on every route.
+		{"trailing brace v1", "/v1/evaluate", `{"params":{}}}`, http.StatusBadRequest, ""},
+		{"trailing bracket v1", "/v1/batch", `{"params":[{}]}]`, http.StatusBadRequest, ""},
+		{"trailing brace v2", "/v2/query", `{"kind":"evaluate","params":{"contention":{"source":"approx"}}}}`, http.StatusBadRequest, ""},
+		{"trailing bracket v2 stream", "/v2/query/stream", `{"kind":"evaluate","params":{"contention":{"source":"approx"}}}]`, http.StatusBadRequest, ""},
+		{"trailing brace tasks", "/v2/tasks", `{"query":{"kind":"evaluate","params":{"contention":{"source":"approx"}}},"from":0,"to":1}}`, http.StatusBadRequest, ""},
+		{"trailing garbage v2", "/v2/query", `{"kind":"evaluate"} x`, http.StatusBadRequest, ""},
 	}
 	for _, tc := range cases {
 		status, body := postJSON(t, ts.URL+tc.path, tc.body)

@@ -21,7 +21,9 @@
 // entry at its element, so a computed answer is held once. A task entry
 // then holds its element without the task line's trailing newline, which
 // every reader decodes identically. Budget charges are those of the bytes
-// as put, so sharing changes real memory only, never eviction order.
+// as put, so sharing changes real memory only, never eviction order. A
+// whole entry also keeps its spans (24 bytes per task, not charged): they
+// give a hit its task count and replay the body as a stream.
 package store
 
 import (
@@ -45,7 +47,8 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // query has no canonical form (a Direct query carrying in-process inputs)
 // and therefore cannot be cached.
 func KeyFor(q query.Query) (Key, bool) {
-	b, ok := q.Canonical()
+	var buf [1024]byte // holds a typical query, so hashing one allocates nothing
+	b, ok := q.AppendCanonical(buf[:0])
 	if !ok {
 		return Key{}, false
 	}
@@ -57,10 +60,11 @@ func KeyFor(q query.Query) (Key, bool) {
 // result bytes), false means it is normalized away by Query.Canonical (it
 // must never change result bytes — workers is parallelism, trace is
 // observability, timeout_ms is scheduling, version is normalized to the
-// current wire version). TestKeyFieldClassification enforces that every
-// Query field appears here, so a new field cannot silently poison keys: an
-// unclassified field fails the build's tests until someone decides which
-// side it belongs on.
+// current wire version). The nested parallelism fields, params.workers and
+// batch[i].workers, are normalized away too. TestKeyFieldClassification
+// enforces that every Query field appears here, so a new field cannot
+// silently poison keys: an unclassified field fails the build's tests until
+// someone decides which side it belongs on.
 var keyRelevant = map[string]bool{
 	"version":    false,
 	"kind":       true,

@@ -55,7 +55,11 @@ type entry struct {
 	shared bool
 	// tasks is, on a whole entry, one past the highest task index that
 	// PutResult re-pointed into it.
-	tasks      int
+	tasks int
+	// spans locates, on a whole entry, the task elements of b (PutResult's
+	// spans, or query.ResultSpans of a body read from disk); nil when they
+	// were not given.
+	spans      []query.TaskSpan
 	prev, next *entry
 }
 
@@ -108,7 +112,8 @@ func (s *Store) GetTask(key Key, index int) ([]byte, bool) {
 	if index < 0 {
 		return nil, false
 	}
-	return s.get(entryKey{key, index})
+	b, _, ok := s.get(entryKey{key, index})
+	return b, ok
 }
 
 // PutTask stores the encoded TaskResult of (key, index). The bytes are
@@ -122,18 +127,36 @@ func (s *Store) PutTask(key Key, index int, b []byte) {
 
 // GetResult returns the stored whole-query ResultSet bytes of key.
 func (s *Store) GetResult(key Key) ([]byte, bool) {
-	return s.get(entryKey{key, resultIndex})
+	b, _, ok := s.get(entryKey{key, resultIndex})
+	return b, ok
+}
+
+// GetResultSpans is GetResult plus the task spans of the body, which say
+// where each task element sits in it (query.ResultSet.EncodeSpans): their
+// count is the query's task count, and they replay the body as a stream
+// without decoding it. A memory hit returns the spans PutResult was given;
+// a body put without spans, or read back from disk, is scanned for them
+// (query.ResultSpans). A body that does not scan is a miss.
+func (s *Store) GetResultSpans(key Key) ([]byte, []query.TaskSpan, bool) {
+	b, spans, ok := s.get(entryKey{key, resultIndex})
+	if !ok || spans != nil {
+		return b, spans, ok
+	}
+	spans, err := query.ResultSpans(b)
+	return b, spans, err == nil
 }
 
 // PutResult stores the whole-query ResultSet bytes of key — the exact bytes
 // served, so a later hit is byte-identical by construction. The body is
 // copied once; spans (query.ResultSet.EncodeSpans) locate its task
-// elements, and every in-memory task entry of key whose bytes equal its
-// element (ignoring the task line's trailing newline) is re-pointed at it,
-// so a computed query's answer is held once, not twice. Budget charges do
-// not change: each entry keeps the size it was put with. Should the whole
-// entry be evicted first, its surviving task entries get their own copies
-// back, so shared bytes never outlive their charge.
+// elements and are kept with it for GetResultSpans (the store keeps the
+// slice: the caller must not modify it). Every in-memory task entry of key
+// whose bytes equal its element (ignoring the task line's trailing
+// newline) is re-pointed at it, so a computed query's answer is held once,
+// not twice. Budget charges do not change: each entry keeps the size it
+// was put with. Should the whole entry be evicted first, its surviving
+// task entries get their own copies back, so shared bytes never outlive
+// their charge.
 func (s *Store) PutResult(key Key, b []byte, spans ...query.TaskSpan) {
 	s.put(entryKey{key, resultIndex}, b, spans)
 }
@@ -182,60 +205,68 @@ func (v *taskView) PutTask(index int, encoded []byte) { v.s.PutTask(v.key, index
 // Plan (Plan.Store), or nil when q is not cacheable (Direct inputs) or the
 // store itself is nil — both safe to assign to Plan.Store directly.
 func (s *Store) Tasks(q query.Query) query.TaskStore {
-	if s == nil {
-		return nil
-	}
 	key, ok := KeyFor(q)
 	if !ok {
+		return nil
+	}
+	return s.TasksByKey(key)
+}
+
+// TasksByKey is Tasks for a caller that already holds the query's key.
+func (s *Store) TasksByKey(key Key) query.TaskStore {
+	if s == nil {
 		return nil
 	}
 	return &taskView{s: s, key: key}
 }
 
-// get looks up k memory-first, then disk.
-func (s *Store) get(k entryKey) ([]byte, bool) {
+// get looks up k memory-first, then disk. spans are those of a whole entry.
+func (s *Store) get(k entryKey) ([]byte, []query.TaskSpan, bool) {
 	s.mu.Lock()
 	if e, ok := s.entries[k]; ok {
 		s.unlink(e)
 		s.pushFront(e)
+		b, spans := e.b, e.spans
 		s.mu.Unlock()
 		HitsTotal.Inc()
-		return e.b, true
+		return b, spans, true
 	}
 	s.mu.Unlock()
 	if s.cfg.Dir != "" {
 		if b, ok := s.diskRead(k); ok {
 			HitsTotal.Inc()
 			DiskHitsTotal.Inc()
-			s.insert(k, b)
-			return b, true
+			var spans []query.TaskSpan
+			if k.index == resultIndex {
+				spans, _ = query.ResultSpans(b)
+			}
+			s.mu.Lock()
+			if e := s.insertLocked(k, b); e != nil {
+				e.spans = spans
+			}
+			s.mu.Unlock()
+			return b, spans, true
 		}
 	}
 	MissesTotal.Inc()
-	return nil, false
+	return nil, nil, false
 }
 
-// put copies b, installs it in the memory tier, re-points the task entries
-// spans name into it, and mirrors it to disk.
+// put copies b, installs it in the memory tier with spans, re-points the
+// task entries spans name into it, and mirrors it to disk.
 func (s *Store) put(k entryKey, b []byte, spans []query.TaskSpan) {
 	PutsTotal.Inc()
 	c := make([]byte, len(b))
 	copy(c, b)
 	s.mu.Lock()
 	if e := s.insertLocked(k, c); e != nil {
+		e.spans = spans
 		s.shareLocked(e, spans)
 	}
 	s.mu.Unlock()
 	if s.cfg.Dir != "" {
 		s.diskWrite(k, c)
 	}
-}
-
-// insert installs owned bytes into the memory tier (see insertLocked).
-func (s *Store) insert(k entryKey, b []byte) {
-	s.mu.Lock()
-	s.insertLocked(k, b)
-	s.mu.Unlock()
 }
 
 // insertLocked installs owned bytes into the memory tier, evicts from the
@@ -251,7 +282,7 @@ func (s *Store) insertLocked(k entryKey, b []byte) *entry {
 	if ok {
 		s.bytes += size - e.size
 		BytesGauge.Add(size - e.size)
-		e.b, e.size, e.shared = b, size, false
+		e.b, e.size, e.shared, e.spans = b, size, false, nil
 		s.unlink(e)
 		s.pushFront(e)
 	} else {

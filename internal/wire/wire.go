@@ -9,6 +9,9 @@
 // AppendFloat is the single float formatting rule: Float.MarshalJSON and
 // every hand-written append encoder (internal/query) call it, so a float
 // reads the same in every body, stream line, store entry and golden file.
+// ParseFloat is the single float parse rule: Float.UnmarshalJSON and the
+// hand-written request decoder (internal/query.DecodeQuery) call it, so a
+// float field accepts the same numbers and strings on every route.
 package wire
 
 import (
@@ -45,37 +48,36 @@ func AppendFloat(dst []byte, v float64) []byte {
 	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler: a JSON number, or a JSON
+// string, read by ParseFloat.
 func (f *Float) UnmarshalJSON(b []byte) error {
 	if len(b) > 0 && b[0] == '"' {
 		var s string
 		if err := json.Unmarshal(b, &s); err != nil {
 			return err
 		}
-		switch s {
-		case "+Inf", "Inf":
-			*f = Float(math.Inf(1))
-			return nil
-		case "-Inf":
-			*f = Float(math.Inf(-1))
-			return nil
-		case "NaN":
-			*f = Float(math.NaN())
-			return nil
-		}
-		v, err := strconv.ParseFloat(s, 64)
+		v, err := ParseFloat(s)
 		if err != nil {
 			return fmt.Errorf("invalid float %q", s)
 		}
 		*f = Float(v)
 		return nil
 	}
-	v, err := strconv.ParseFloat(string(b), 64)
+	v, err := ParseFloat(string(b))
 	if err != nil {
 		return err
 	}
 	*f = Float(v)
 	return nil
+}
+
+// ParseFloat is the one float parse rule of every wire decoder: the text
+// of a JSON number, or the contents of a JSON string, as
+// strconv.ParseFloat reads it. That covers the non-finite spellings
+// AppendFloat writes ("+Inf", "-Inf", "NaN") and their aliases ("Inf",
+// "infinity", any case); a value beyond the float64 range is an error.
+func ParseFloat(s string) (float64, error) {
+	return strconv.ParseFloat(s, 64)
 }
 
 // Floats converts a float64 slice to the exact-round-trip wire type.
